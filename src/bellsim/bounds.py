@@ -5,10 +5,12 @@ the CHSH combination (no absolute values): at the canonical angles the
 CHSH observable has spectrum {2*sqrt(2), 0, 0, -2*sqrt(2)} with the ideal
 pair as its top eigenvector and no cross terms, so a state constrained to
 overlap F with the ideal pair reaches at most 2*sqrt(2)*F and at least
-2*sqrt(2)*(2F - 1).  The numeric extremizer validates this closed form by
-random-restart optimization over all density matrices with the overlap
-pinned exactly to F; it also reports the absolute-value form evaluated on
-the witness states, which can only be larger.
+2*sqrt(2)*(2F - 1).  The numeric extremizer solves the same problem
+exactly at any angles: an optimal state is pure, so one Lagrange
+multiplier fixes it, and the multiplier's dual bound certifies the
+result through the reported duality gap.  It also reports the
+absolute-value form evaluated on the witness states, which can only be
+larger.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .states import (
     BellAngles,
@@ -58,6 +59,7 @@ class ExtremalResult:
     witness_max: DensityMatrix
     abs_form_min: float
     abs_form_max: float
+    duality_gap: float
     converged: bool
     out_of_regime: bool = False
 
@@ -108,25 +110,49 @@ def extremal_bell_closed_form(f: float) -> tuple[float, float]:
     return TSIRELSON_BOUND * (2.0 * f - 1.0), TSIRELSON_BOUND * f
 
 
-def _pinned_density(x: np.ndarray, target: np.ndarray, f: float) -> np.ndarray:
-    """Map 32 free reals to a density matrix with <target|rho|target> = f exactly.
+def _max_expectation(
+    w: np.ndarray, target: np.ndarray, f: float
+) -> tuple[float, np.ndarray, float]:
+    """max Tr(rho W) over density matrices with <target|rho|target> = f.
 
-    An arbitrary positive matrix is normalized, then mixed with either the
-    target projector or the uniform state on its orthogonal complement,
-    whichever moves the overlap onto the constraint.  States already on
-    the constraint are fixed points, so the map is onto.
+    Returns (value, pure witness, duality gap).  An optimal state is pure,
+    v = sqrt(f)|t> + sqrt(1-f) sum_i x_i|e_i>, with e_i the eigenvectors of
+    W on the complement of t (eigenvalues c_i, top last) and h_i = <e_i|W|t>.
+    With k = sqrt(f(1-f))|h|, stationarity gives
+    x_i = (h_i/|h|) / (m + (1-f)(c_top - c_i)/k) for a scaled multiplier m
+    in [0, 1], fixed by |x| = 1 and found by bisection.  Every m > 0 also
+    gives the Lagrange dual bound
+    f W_tt + (1-f) c_top + k (m + sum_i |h_i/|h||^2 / (m + (1-f)(c_top - c_i)/k)).
+    When |x| < 1 even as m -> 0 (h has no weight on the top of W, as at the
+    canonical angles, or k = 0 at f = 0 and f = 1), the top component takes
+    up the remaining norm.  Every quantity stays of the order of |W|, so
+    the result holds to rounding over all of [0, 1].
     """
-    a = (x[:16] + 1j * x[16:]).reshape(4, 4)
-    m = a @ a.conj().T + 1e-12 * np.eye(4)
-    rho = m / np.trace(m).real
-    projector = np.outer(target, target.conj())
-    overlap = float(np.real(target.conj() @ rho @ target))
-    if overlap < f:
-        t = (f - overlap) / (1.0 - overlap)
-        return (1.0 - t) * rho + t * projector
-    complement = (np.eye(4) - projector) / 3.0
-    t = 0.0 if overlap == 0.0 else (overlap - f) / overlap
-    return (1.0 - t) * rho + t * complement
+    complement = np.linalg.eigh(np.outer(target, target.conj()))[1][:, :3]
+    c, rotation = np.linalg.eigh(complement.conj().T @ w @ complement)
+    basis = complement @ rotation
+    h = basis.conj().T @ (w @ target)
+    k = math.sqrt(f * (1.0 - f)) * float(np.linalg.norm(h))
+    dual = f * float(np.real(np.vdot(target, w @ target))) + (1.0 - f) * float(c[-1])
+    x = np.zeros(3, dtype=complex)
+    if k > 0.0:
+        unit = h / np.linalg.norm(h)
+        with np.errstate(over="ignore"):  # an infinite spread only zeroes its component
+            spread = (1.0 - f) * (c[-1] - c) / k
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            if np.sum(np.abs(unit / (mid + spread)) ** 2) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        x = unit / (hi + spread)
+        dual += k * (hi + float(np.sum(np.abs(unit) ** 2 / (hi + spread))))
+    phase = x[-1] / abs(x[-1]) if x[-1] else 1.0
+    x[-1] = phase * math.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(x[:-1]) ** 2))))
+    v = math.sqrt(f) * target + math.sqrt(1.0 - f) * (basis @ x)
+    value = float(np.real(np.vdot(v, w @ v)))
+    return value, np.outer(v, v.conj()), dual - value
 
 
 def _abs_form_on_witness(rho: DensityMatrix, angles: BellAngles) -> float:
@@ -139,62 +165,35 @@ def _abs_form_on_witness(rho: DensityMatrix, angles: BellAngles) -> float:
     return bell_signal(q[(2, 2)], q[(1, 2)], q[(2, 1)], q[(1, 1)])
 
 
-def extremal_bell_numeric(
-    constraint: FidelityConstraint,
-    iterations: int = 32,
-    seed: int = 20060922,
-) -> ExtremalResult:
+def extremal_bell_numeric(constraint: FidelityConstraint) -> ExtremalResult:
     """Extremize the signed Bell signal over states with pinned fidelity.
 
-    ``iterations`` random restarts per extreme, each refined locally; the
-    result carries the extremal witness states, the absolute-value form
-    evaluated on them, and a convergence flag (restart agreement within
-    1e-6).  Fidelities below 1/2 are allowed but flagged out-of-regime.
+    Both extremes are solved exactly (``min`` as the maximum of -W); the
+    result carries the extremal witness states, the absolute-value
+    form evaluated on them, the larger of the two duality gaps, and a
+    convergence flag (gap at most 1e-9).  Fidelities below 1/2 are allowed
+    but flagged out-of-regime.
     """
-    if iterations < 1:
-        raise ValueError("need at least one restart")
     operator = chsh_operator(constraint.angles)
     target = constraint.target.amplitudes
     f = constraint.fidelity
-    rng = np.random.default_rng(seed)
-
-    extremes: dict[str, tuple[float, np.ndarray, bool]] = {}
-    for sense, sign in (("max", 1.0), ("min", -1.0)):
-
-        def objective(x: np.ndarray) -> float:
-            rho = _pinned_density(x, target, f)
-            return -sign * float(np.real(np.trace(rho @ operator)))
-
-        values = []
-        best_value, best_rho = -np.inf, None
-        for _ in range(iterations):
-            x0 = rng.standard_normal(32)
-            result = minimize(objective, x0, method="L-BFGS-B")
-            value = -result.fun
-            values.append(value)
-            if value > best_value:
-                best_value = value
-                best_rho = _pinned_density(result.x, target, f)
-        values.sort(reverse=True)
-        # Converged when several restarts independently reach the optimum.
-        agreement = len(values) >= 2 and values[0] - values[min(2, len(values) - 1)] < 1e-6
-        extremes[sense] = (sign * best_value, best_rho, agreement)
-
-    max_value, max_rho, max_ok = extremes["max"]
-    min_value, min_rho, min_ok = extremes["min"]
+    max_value, max_rho, max_gap = _max_expectation(operator, target, f)
+    neg_min_value, min_rho, min_gap = _max_expectation(-operator, target, f)
     witness_max = DensityMatrix(0.5 * (max_rho + max_rho.conj().T))
     witness_min = DensityMatrix(0.5 * (min_rho + min_rho.conj().T))
     for witness in (witness_min, witness_max):
         if abs(fidelity(witness, constraint.target) - f) > 1e-6:
             raise RuntimeError("extremal witness drifted off the fidelity constraint")
+    gap = max(max_gap, min_gap)
     return ExtremalResult(
-        bell_min=min_value,
+        bell_min=-neg_min_value,
         bell_max=max_value,
         witness_min=witness_min,
         witness_max=witness_max,
         abs_form_min=_abs_form_on_witness(witness_min, constraint.angles),
         abs_form_max=_abs_form_on_witness(witness_max, constraint.angles),
-        converged=max_ok and min_ok,
+        duality_gap=gap,
+        converged=bool(gap <= 1e-9),
         out_of_regime=f < 0.5,
     )
 
@@ -208,15 +207,12 @@ def enumerate_strategies() -> list[tuple[LhvStrategy, float]]:
     return table
 
 
-def lhv_enumerate(angles: BellAngles | None = None) -> tuple[float, list[LhvStrategy]]:
+def lhv_enumerate() -> tuple[float, list[LhvStrategy]]:
     """Maximum Bell signal over deterministic local strategies, with argmaxes.
 
     Deterministic strategies are the extreme points of the local set, so
-    by convexity this bounds every stochastic local model.  The angles
-    are irrelevant to deterministic assignments and accepted only for
-    signature symmetry with the quantum scans.
+    by convexity this bounds every stochastic local model.
     """
-    del angles
     table = enumerate_strategies()
     best = max(value for _, value in table)
     argmax = [strategy for strategy, value in table if value >= best - 1e-12]

@@ -68,7 +68,6 @@ _COMMON_SCHEMA: dict[str, tuple[type, Any]] = {
     "seed": (int, DEFAULT_SEED),
     "format": (str, "json"),
     "output": (str, None),
-    "threads": (int, 1),
 }
 
 _SCHEMAS: dict[str, dict[str, tuple[type, Any]]] = {
@@ -87,7 +86,6 @@ _SCHEMAS: dict[str, dict[str, tuple[type, Any]]] = {
         **_COMMON_SCHEMA,
         "fidelity": (float, None),
         "angles_pi": (list, [0.0, 0.5, 0.25, 0.75]),
-        "restarts": (int, 32),
     },
     "lhv": {
         **_COMMON_SCHEMA,
@@ -163,8 +161,6 @@ def resolve_config(
         config[key] = _check_type(command, key, value, schema[key][0])
     if config["format"] not in ("csv", "json"):
         raise ConfigError(f"{command}: format must be 'csv' or 'json', got {config['format']!r}")
-    if config["threads"] < 1:
-        raise ConfigError(f"{command}: threads must be >= 1")
     return config
 
 
@@ -269,9 +265,7 @@ def cmd_chsh(config: dict[str, Any]) -> dict[str, Any]:
             atom_dark_error=config["atom_dark_error"],
             dark_event_probability=config["dark_event_probability"],
         )
-        first, second = run_experiment(
-            plan, source, det, seed=config["seed"], threads=config["threads"]
-        )
+        first, second = run_experiment(plan, source, det, seed=config["seed"])
     report["results"] = {
         "experiments": [
             {"experiment": 1, **_bell_result_dict(first)},
@@ -309,14 +303,18 @@ def _chsh_csv(report: dict[str, Any]) -> str:
 def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
     if config["fidelity"] is None:
         raise ConfigError("bounds: a fidelity value is required (--fidelity or config)")
+    f = config["fidelity"]
+    if not 0.0 <= f <= 1.0:
+        raise ConfigError(f"bounds: fidelity must lie in [0, 1], got {f!r}")
     angles_pi = config["angles_pi"]
     if len(angles_pi) != 4:
         raise ConfigError("bounds: angles_pi needs exactly four values (a1, a2, b1, b2)")
-    f = config["fidelity"]
+    if not all(math.isfinite(a) for a in angles_pi):
+        raise ConfigError(f"bounds: angles_pi must be finite, got {angles_pi!r}")
     angles = BellAngles.from_thetas(*(a * math.pi for a in angles_pi))
     constraint = FidelityConstraint(f, angles=angles)
     closed_min, closed_max = extremal_bell_closed_form(f)
-    numeric = extremal_bell_numeric(constraint, iterations=config["restarts"], seed=config["seed"])
+    numeric = extremal_bell_numeric(constraint)
     if numeric.out_of_regime:
         print(
             "warning: fidelity below 0.5 is outside the entangled regime; "
@@ -333,6 +331,7 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
             "bell_max": numeric.bell_max,
             "abs_form_min": numeric.abs_form_min,
             "abs_form_max": numeric.abs_form_max,
+            "duality_gap": numeric.duality_gap,
             "converged": numeric.converged,
             "out_of_regime": numeric.out_of_regime,
         },
@@ -499,6 +498,8 @@ def _loopholes_csv(report: dict[str, Any]) -> str:
 
 
 def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
+    if config["trials"] < 1:
+        raise ConfigError(f"swap: trials must be >= 1, got {config['trials']}")
     pair_a = bell_pair_ideal() if config["werner_p_a"] == 1.0 else werner(config["werner_p_a"])
     pair_b = bell_pair_ideal() if config["werner_p_b"] == 1.0 else werner(config["werner_p_b"])
     conditionals = swap_conditional_states(pair_a, pair_b)
@@ -583,7 +584,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="strict JSON config file")
     parser.add_argument("--format", type=str, default=None, choices=("csv", "json"))
     parser.add_argument("--output", type=str, default=None, help="output path (default stdout)")
-    parser.add_argument("--threads", type=int, default=None, help="worker cap for batch runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="four analysis angles in units of pi, e.g. 0,0.5,0.25,0.75",
     )
-    bounds.add_argument("--restarts", type=int, default=None)
 
     lhv = commands.add_parser("lhv", help="deterministic local strategies and angle scan")
     _add_common_flags(lhv)

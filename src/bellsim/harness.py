@@ -14,7 +14,6 @@ sigma_q = sqrt((1 - q^2)/N); a bootstrap cross-check is provided.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -290,13 +289,12 @@ def run_experiment(
     source: SourceParams,
     det: DetectorParams,
     seed: int,
-    threads: int = 1,
 ) -> tuple[BellResult, BellResult]:
     """Run both complete inequality measurements.
 
     Every (experiment, setting) pair owns independent seeded streams
     spawned in a fixed order, so results do not depend on the execution
-    schedule or thread count.
+    schedule.
     """
     if det.pmt_role_swapped:
         raise ValueError("pass the normal-role detector config; sub-runs swap internally")
@@ -307,18 +305,12 @@ def run_experiment(
             tasks.append((experiment, theta_ion, theta_photon))
     streams = root.spawn(len(tasks))
 
-    def run_one(args):
-        (experiment, theta_ion, theta_photon), stream = args
+    outcomes = []
+    for (experiment, theta_ion, theta_photon), stream in zip(tasks, streams):
         estimate = _measure_setting(
             theta_ion, theta_photon, plan.events_per_setting, source, det, stream
         )
-        return experiment, (theta_ion, theta_photon), estimate
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_one, zip(tasks, streams)))
-    else:
-        outcomes = [run_one(item) for item in zip(tasks, streams)]
+        outcomes.append((experiment, (theta_ion, theta_photon), estimate))
 
     results = []
     for experiment in (1, 2):

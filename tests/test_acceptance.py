@@ -259,7 +259,7 @@ def test_criterion_11_swap_correctness():
 def test_criterion_12_reproducibility(tmp_path):
     commands = [
         ["chsh", "--events", "200"],
-        ["bounds", "--fidelity", "0.87", "--restarts", "4"],
+        ["bounds", "--fidelity", "0.87"],
         ["lhv", "--grid", "16"],
         ["loopholes"],
         ["swap", "--trials", "2000"],

@@ -24,6 +24,7 @@ from bellsim.states import (
     MeasurementSetting,
     bell_pair_ideal,
     chsh_operator,
+    densify,
     fidelity,
     werner,
 )
@@ -62,26 +63,28 @@ class TestClosedForm:
 class TestNumericExtremes:
     def test_matches_closed_form_at_reference_fidelity(self):
         result = extremal_bell_numeric(FidelityConstraint(0.87))
-        assert result.bell_max == pytest.approx(2.4607, abs=1e-3)
-        assert result.bell_min == pytest.approx(2.0930, abs=1e-3)
+        closed_min, closed_max = extremal_bell_closed_form(0.87)
+        assert result.bell_max == pytest.approx(closed_max, abs=1e-9)
+        assert result.bell_min == pytest.approx(closed_min, abs=1e-9)
         assert result.converged
+        assert result.duality_gap <= 1e-9
 
     def test_fully_constrained_at_unit_fidelity(self):
-        result = extremal_bell_numeric(FidelityConstraint(1.0), iterations=4)
-        assert result.bell_min == pytest.approx(TSIRELSON_BOUND, abs=1e-6)
-        assert result.bell_max == pytest.approx(TSIRELSON_BOUND, abs=1e-6)
+        result = extremal_bell_numeric(FidelityConstraint(1.0))
+        assert result.bell_min == pytest.approx(TSIRELSON_BOUND, abs=1e-9)
+        assert result.bell_max == pytest.approx(TSIRELSON_BOUND, abs=1e-9)
 
     @pytest.mark.parametrize("f", [0.6, 0.75, 0.87, 0.95])
     def test_brackets_closed_form(self, f):
         closed_min, closed_max = extremal_bell_closed_form(f)
-        result = extremal_bell_numeric(FidelityConstraint(f), iterations=16)
-        assert result.bell_min <= closed_min + 1e-3
-        assert result.bell_max >= closed_max - 1e-3
+        result = extremal_bell_numeric(FidelityConstraint(f))
+        assert result.bell_min == pytest.approx(closed_min, abs=1e-9)
+        assert result.bell_max == pytest.approx(closed_max, abs=1e-9)
         assert result.bell_max <= TSIRELSON_BOUND + 1e-9
 
     def test_witnesses_satisfy_constraint(self):
         constraint = FidelityConstraint(0.87)
-        result = extremal_bell_numeric(constraint, iterations=8)
+        result = extremal_bell_numeric(constraint)
         target = bell_pair_ideal()
         for witness in (result.witness_min, result.witness_max):
             assert abs(fidelity(witness, target) - 0.87) < 1e-6
@@ -90,25 +93,87 @@ class TestNumericExtremes:
             assert np.trace(witness.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_abs_form_never_below_signed(self):
-        result = extremal_bell_numeric(FidelityConstraint(0.8), iterations=8)
+        result = extremal_bell_numeric(FidelityConstraint(0.8))
         assert result.abs_form_max >= result.bell_max - 1e-9
         assert result.abs_form_min >= result.bell_min - 1e-9
 
     def test_low_fidelity_flagged_but_computed(self):
-        result = extremal_bell_numeric(FidelityConstraint(0.3), iterations=8)
+        result = extremal_bell_numeric(FidelityConstraint(0.3))
         assert result.out_of_regime
         closed_min, closed_max = extremal_bell_closed_form(0.3)
-        assert result.bell_min <= closed_min + 1e-3
+        assert result.bell_min == pytest.approx(closed_min, abs=1e-9)
         assert result.bell_min < 0.0
-        assert result.bell_max == pytest.approx(closed_max, abs=1e-3)
-
-    def test_rejects_zero_restarts(self):
-        with pytest.raises(ValueError):
-            extremal_bell_numeric(FidelityConstraint(0.9), iterations=0)
+        assert result.bell_max == pytest.approx(closed_max, abs=1e-9)
 
     def test_constraint_rejects_bad_fidelity(self):
         with pytest.raises(ValueError):
             FidelityConstraint(1.3)
+
+
+_SETTINGS = st.builds(
+    MeasurementSetting,
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+def _dual_bound(w, projector, f, lambdas):
+    """Smallest l*f + lambda_max(W - l*P) on a grid: an upper bound on max Tr(rho W)."""
+    return min(lam * f + np.linalg.eigvalsh(w - lam * projector)[-1] for lam in lambdas)
+
+
+class TestDualCertificate:
+    """Each extreme must be attained by a feasible witness and lie below
+    every value of the SDP dual, which certifies it without a second solver."""
+
+    def _check(self, f, angles):
+        result = extremal_bell_numeric(FidelityConstraint(f, angles=angles))
+        target = bell_pair_ideal()
+        w = chsh_operator(angles)
+        projector = np.outer(target.amplitudes, target.amplitudes.conj())
+        extremes = ((result.witness_max, result.bell_max), (result.witness_min, result.bell_min))
+        for witness, value in extremes:
+            assert abs(fidelity(witness, target) - f) <= 1e-9
+            assert np.linalg.eigvalsh(witness.matrix).min() >= -1e-12
+            assert np.trace(witness.matrix).real == pytest.approx(1.0, abs=1e-12)
+            assert float(np.real(np.trace(witness.matrix @ w))) == pytest.approx(value, abs=1e-9)
+        lambdas = np.linspace(-40.0, 40.0, 161)
+        assert result.bell_max <= _dual_bound(w, projector, f, lambdas) + 1e-9
+        assert -result.bell_min <= _dual_bound(-w, projector, f, lambdas) + 1e-9
+        assert result.converged
+        return result
+
+    @given(
+        f=st.floats(0.0, 1.0),
+        a1=_SETTINGS,
+        a2=_SETTINGS,
+        b1=_SETTINGS,
+        b2=_SETTINGS,
+    )
+    def test_witnesses_and_weak_duality(self, f, a1, a2, b1, b2):
+        self._check(f, BellAngles(a1, a2, b1, b2))
+
+    @pytest.mark.parametrize("f", [0.0, 1.0])
+    def test_endpoint_fidelities_at_custom_angles(self, f):
+        angles = BellAngles.from_thetas(*(a * math.pi for a in (0.1, 0.4, 0.15, 0.9)))
+        result = self._check(f, angles)
+        assert abs(result.duality_gap) <= 1e-12
+        w = chsh_operator(angles)
+        projector = densify(bell_pair_ideal()).matrix
+        if f == 1.0:
+            expected = float(np.real(np.trace(projector @ w)))
+            assert result.bell_min == pytest.approx(expected, abs=1e-12)
+            assert result.bell_max == pytest.approx(expected, abs=1e-12)
+        else:
+            # Extremes of W on the complement of the target, with the target
+            # direction pushed out of the way.
+            q = np.eye(4) - projector
+            assert result.bell_max == pytest.approx(
+                np.linalg.eigvalsh(q @ w @ q - 100.0 * projector)[-1], abs=1e-12
+            )
+            assert result.bell_min == pytest.approx(
+                np.linalg.eigvalsh(q @ w @ q + 100.0 * projector)[0], abs=1e-12
+            )
 
 
 class TestLhv:
@@ -225,13 +290,9 @@ class TestSettingsInteroperability:
             MeasurementSetting(math.pi / 4),
             MeasurementSetting(2 * math.pi / 3),
         )
-        result = extremal_bell_numeric(
-            FidelityConstraint(1.0, angles=angles), iterations=4
-        )
+        result = extremal_bell_numeric(FidelityConstraint(1.0, angles=angles))
         ideal = bell_pair_ideal()
         operator = chsh_operator(angles)
-        from bellsim.states import densify
-
         expected = float(np.real(np.trace(densify(ideal).matrix @ operator)))
         assert result.bell_max == pytest.approx(expected, abs=1e-9)
         assert result.bell_max < TSIRELSON_BOUND

@@ -79,31 +79,37 @@ class TestChshCommand:
 
 class TestBoundsCommand:
     def test_reference_fidelity(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bounds", "--fidelity", "0.87", "--restarts", "8", "--seed", "3"
-        )
+        code, out, _ = run_cli(capsys, "bounds", "--fidelity", "0.87", "--seed", "3")
         assert code == 0
         report = json.loads(out)
         closed = report["results"]["closed_form"]
         numeric = report["results"]["numeric"]
         assert closed["bell_min"] == pytest.approx(2.0930, abs=5e-5)
         assert closed["bell_max"] == pytest.approx(2.4607, abs=5e-5)
-        assert abs(numeric["bell_min"] - closed["bell_min"]) <= 1e-3
-        assert abs(numeric["bell_max"] - closed["bell_max"]) <= 1e-3
+        assert abs(numeric["bell_min"] - closed["bell_min"]) <= 1e-9
+        assert abs(numeric["bell_max"] - closed["bell_max"]) <= 1e-9
+        assert numeric["converged"] is True
+        assert numeric["duality_gap"] <= 1e-9
+
+    def test_custom_angles(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bounds", "--fidelity", "0.87", "--angles", "0.1,0.4,0.15,0.9"
+        )
+        assert code == 0
+        numeric = json.loads(out)["results"]["numeric"]
+        assert numeric["bell_min"] == pytest.approx(1.759693454, abs=1e-6)
+        assert numeric["bell_max"] == pytest.approx(2.352775826, abs=1e-6)
+        assert numeric["converged"] is True
 
     def test_unit_fidelity(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bounds", "--fidelity", "1.0", "--restarts", "2"
-        )
+        code, out, _ = run_cli(capsys, "bounds", "--fidelity", "1.0")
         assert code == 0
         report = json.loads(out)
         assert report["results"]["numeric"]["bell_min"] == pytest.approx(2.82843, abs=1e-5)
         assert report["results"]["numeric"]["bell_max"] == pytest.approx(2.82843, abs=1e-5)
 
     def test_out_of_regime_warns_but_computes(self, capsys):
-        code, out, err = run_cli(
-            capsys, "bounds", "--fidelity", "0.3", "--restarts", "4"
-        )
+        code, out, err = run_cli(capsys, "bounds", "--fidelity", "0.3")
         assert code == 0
         assert "warning" in err
         report = json.loads(out)
@@ -258,13 +264,32 @@ class TestConfigFileHandling:
         code, _, _ = run_cli(capsys, "chsh", "--no-such-flag")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["bounds", "--fidelity", "1.5"], "fidelity"),
+            (["bounds", "--fidelity", "nan"], "fidelity"),
+            (["bounds", "--fidelity", "0.87", "--angles", "0,nan,0.25,0.75"], "angles_pi"),
+            (["swap", "--trials", "-5"], "trials"),
+            (["swap", "--trials", "0"], "trials"),
+            (["bounds", "--fidelity", "0.87", "--restarts", "4"], "--restarts"),
+            (["chsh", "--threads", "2"], "--threads"),
+            (["swap", "--threads", "2"], "--threads"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_the_key(self, capsys, argv, key):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert key in err
+
 
 class TestReproducibility:
     @pytest.mark.parametrize(
         "argv",
         [
             ["chsh", "--events", "200", "--seed", "11"],
-            ["bounds", "--fidelity", "0.87", "--restarts", "4", "--seed", "11"],
+            ["bounds", "--fidelity", "0.87", "--seed", "11"],
             ["lhv", "--grid", "16", "--seed", "11"],
             ["loopholes", "--seed", "11"],
             ["swap", "--trials", "5000", "--seed", "11"],
@@ -291,6 +316,18 @@ class TestReproducibility:
         code2 = main(["lhv", "--grid", "8", "--output", str(path)])
         assert code == code2 == 0
         assert path.read_text() == out
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        probe = (
+            "import sys, bellsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestRuntimeFailures:

@@ -151,14 +151,6 @@ class TestRunExperiment:
         for result in (first, second):
             assert 0.02 <= result.bell_sigma <= 0.05
 
-    def test_threads_do_not_change_results(self):
-        plan = SettingsPlan(events_per_setting=4000)
-        serial = run_experiment(plan, SourceParams(), DetectorParams(), seed=3, threads=1)
-        threaded = run_experiment(plan, SourceParams(), DetectorParams(), seed=3, threads=4)
-        for a, b in zip(serial, threaded):
-            assert a.bell_value == b.bell_value
-            assert a.correlations == b.correlations
-
     def test_same_seed_reproduces(self):
         plan = SettingsPlan(events_per_setting=2000)
         a = run_experiment(plan, SourceParams(), DetectorParams(), seed=77)
