@@ -34,6 +34,9 @@ from .states import (
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 LHV_BOUND = 2.0
+# Finest tsirelson_scan grid: its work arrays hold (N + 1)^2 floats (34 MB each
+# at N = 2048), and its cost grows as N^3 (0.8 s at N = 512 on 2 x86 cores).
+_MAX_GRID = 2048
 
 
 @dataclass(frozen=True)
@@ -226,10 +229,11 @@ def tsirelson_scan(grid_resolution: int = 64) -> ScanResult:
     settings using the ideal-pair correlation cos(theta_a - theta_b).
     The maximum over the two b-angles separates per (a1, a2) pair, so the
     scan is O(resolution^3).  Resolutions divisible by 4 place the
-    canonical angles exactly on the grid.
+    canonical angles exactly on the grid.  Resolutions above 2048
+    (``_MAX_GRID``) are rejected before anything is allocated.
     """
-    if grid_resolution < 8:
-        raise ValueError("grid resolution below 8 points per angle is too coarse")
+    if not 8 <= grid_resolution <= _MAX_GRID:
+        raise ValueError(f"grid resolution {grid_resolution} outside [8, {_MAX_GRID}]")
     thetas = np.arange(grid_resolution + 1) * (math.pi / grid_resolution)
     c = np.cos(thetas[:, None] - thetas[None, :])
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    _MAX_GRID,
     FidelityConstraint,
     enumerate_strategies,
     extremal_bell_closed_form,
@@ -59,61 +60,69 @@ TOOL_NAME = "bellsim"
 
 
 class ConfigError(ValueError):
-    """Invalid configuration: unknown key, bad type, or missing value."""
+    """Invalid configuration: unknown key, bad type, out-of-range or missing value."""
 
 
-# Per-command configuration schema: key -> (json type, default).
+# Allowed values of a numeric key: (description, test).  NaN and infinite
+# values are rejected for every key that has one.
+_Allowed = tuple[str, Callable[[Any], bool]]
+_UNIT: _Allowed = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_NON_NEGATIVE: _Allowed = ("finite and >= 0", lambda v: v >= 0.0)
+_POSITIVE: _Allowed = ("finite and > 0", lambda v: v > 0.0)
+_FINITE: _Allowed = ("finite", lambda v: True)
+
+# Per-command configuration schema: key -> (json type, default, allowed values).
 # ``None`` defaults mark required or optional-by-absence keys.
-_COMMON_SCHEMA: dict[str, tuple[type, Any]] = {
-    "seed": (int, DEFAULT_SEED),
-    "format": (str, "json"),
-    "output": (str, None),
+_COMMON_SCHEMA: dict[str, tuple[type, Any, _Allowed | None]] = {
+    "seed": (int, DEFAULT_SEED, None),
+    "format": (str, "json", None),
+    "output": (str, None, None),
 }
 
-_SCHEMAS: dict[str, dict[str, tuple[type, Any]]] = {
+_SCHEMAS: dict[str, dict[str, tuple[type, Any, _Allowed | None]]] = {
     "chsh": {
         **_COMMON_SCHEMA,
-        "events_per_setting": (int, 2000),
-        "werner_p": (float, 1.0),
-        "pmt_efficiency_1": (float, 1.0),
-        "pmt_efficiency_2": (float, 1.0),
-        "atom_bright_error": (float, 0.0),
-        "atom_dark_error": (float, 0.0),
-        "dark_event_probability": (float, 0.0),
-        "table1_fixture": (bool, False),
+        "events_per_setting": (int, 2000, (">= 2", lambda v: v >= 2)),
+        "werner_p": (float, 1.0, _UNIT),
+        "pmt_efficiency_1": (float, 1.0, _UNIT),
+        "pmt_efficiency_2": (float, 1.0, _UNIT),
+        "atom_bright_error": (float, 0.0, _UNIT),
+        "atom_dark_error": (float, 0.0, _UNIT),
+        "dark_event_probability": (float, 0.0, _UNIT),
+        "table1_fixture": (bool, False, None),
     },
     "bounds": {
         **_COMMON_SCHEMA,
-        "fidelity": (float, None),
-        "angles_pi": (list, [0.0, 0.5, 0.25, 0.75]),
+        "fidelity": (float, None, _UNIT),
+        "angles_pi": (list, [0.0, 0.5, 0.25, 0.75], _FINITE),
     },
     "lhv": {
         **_COMMON_SCHEMA,
-        "grid": (int, 64),
+        "grid": (int, 64, (f"in [8, {_MAX_GRID}]", lambda v: 8 <= v <= _MAX_GRID)),
     },
     "loopholes": {
         **_COMMON_SCHEMA,
-        "separation": (float, 1.1),
-        "detection_time": (float, 125e-6),
-        "rotation_time": (float, 0.0),
-        "attenuation": (float, 0.2),
-        "coupling": (float, 1.0),
-        "attenuation_sweep": (list, [0.2, 1.0, 5.0, 10.0]),
-        "detection_efficiencies": (list, [0.10, 0.01, 0.20]),
-        "efficiency_threshold": (float, None),
-        "feasibility_grid": (bool, False),
+        "separation": (float, 1.1, _NON_NEGATIVE),
+        "detection_time": (float, 125e-6, _NON_NEGATIVE),
+        "rotation_time": (float, 0.0, _NON_NEGATIVE),
+        "attenuation": (float, 0.2, _NON_NEGATIVE),
+        "coupling": (float, 1.0, _UNIT),
+        "attenuation_sweep": (list, [0.2, 1.0, 5.0, 10.0], _NON_NEGATIVE),
+        "detection_efficiencies": (list, [0.10, 0.01, 0.20], _UNIT),
+        "efficiency_threshold": (float, None, None),
+        "feasibility_grid": (bool, False, None),
     },
     "swap": {
         **_COMMON_SCHEMA,
-        "trials": (int, 100000),
-        "werner_p_a": (float, 1.0),
-        "werner_p_b": (float, 1.0),
-        "nodes": (int, 2),
-        "attempt_rate": (float, 8.3e3),
-        "link_success": (float, 2.0e-4),
-        "fiber_length": (float, 0.0),
-        "attenuation": (float, 0.2),
-        "coupling": (float, 1.0),
+        "trials": (int, 100000, (">= 1", lambda v: v >= 1)),
+        "werner_p_a": (float, 1.0, _UNIT),
+        "werner_p_b": (float, 1.0, _UNIT),
+        "nodes": (int, 2, (">= 2", lambda v: v >= 2)),
+        "attempt_rate": (float, 8.3e3, _POSITIVE),
+        "link_success": (float, 2.0e-4, ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
+        "fiber_length": (float, 0.0, _NON_NEGATIVE),
+        "attenuation": (float, 0.2, _NON_NEGATIVE),
+        "coupling": (float, 1.0, _UNIT),
     },
 }
 
@@ -152,7 +161,7 @@ def resolve_config(
     unknown = sorted(set(file_values) - set(schema))
     if unknown:
         raise ConfigError(f"{command}: unknown configuration keys {unknown}")
-    config = {key: default for key, (_, default) in schema.items()}
+    config = {key: default for key, (_, default, _) in schema.items()}
     for key, value in file_values.items():
         config[key] = _check_type(command, key, value, schema[key][0])
     for key, value in flag_values.items():
@@ -161,6 +170,12 @@ def resolve_config(
         config[key] = _check_type(command, key, value, schema[key][0])
     if config["format"] not in ("csv", "json"):
         raise ConfigError(f"{command}: format must be 'csv' or 'json', got {config['format']!r}")
+    for key, (_, _, allowed) in schema.items():
+        if allowed is None or config[key] is None:
+            continue
+        for value in config[key] if isinstance(config[key], list) else [config[key]]:
+            if not (allowed[1](value) and abs(value) < math.inf):
+                raise ConfigError(f"{command}: key {key!r} must be {allowed[0]}, got {value!r}")
     return config
 
 
@@ -304,13 +319,9 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
     if config["fidelity"] is None:
         raise ConfigError("bounds: a fidelity value is required (--fidelity or config)")
     f = config["fidelity"]
-    if not 0.0 <= f <= 1.0:
-        raise ConfigError(f"bounds: fidelity must lie in [0, 1], got {f!r}")
     angles_pi = config["angles_pi"]
     if len(angles_pi) != 4:
         raise ConfigError("bounds: angles_pi needs exactly four values (a1, a2, b1, b2)")
-    if not all(math.isfinite(a) for a in angles_pi):
-        raise ConfigError(f"bounds: angles_pi must be finite, got {angles_pi!r}")
     angles = BellAngles.from_thetas(*(a * math.pi for a in angles_pi))
     constraint = FidelityConstraint(f, angles=angles)
     closed_min, closed_max = extremal_bell_closed_form(f)
@@ -498,8 +509,6 @@ def _loopholes_csv(report: dict[str, Any]) -> str:
 
 
 def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
-    if config["trials"] < 1:
-        raise ConfigError(f"swap: trials must be >= 1, got {config['trials']}")
     pair_a = bell_pair_ideal() if config["werner_p_a"] == 1.0 else werner(config["werner_p_a"])
     pair_b = bell_pair_ideal() if config["werner_p_b"] == 1.0 else werner(config["werner_p_b"])
     conditionals = swap_conditional_states(pair_a, pair_b)

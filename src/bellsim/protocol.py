@@ -48,6 +48,8 @@ TWO_PULSE = "two_pulse"
 BRIGHT = 0  # atom found in the fluorescing manifold, qubit |0>
 DARK = 1  # atom shelved in the transferred state, qubit |1~>
 
+_ATTEMPT_CHUNK = 1_000_000  # attempts per bulk success gate, bounding its memory
+
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -200,14 +202,23 @@ class EventRecord:
     pmt_role_swapped: bool
 
 
+def _herald(
+    n_attempts: int, p_herald: float, p_dark: float, window: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Heralded attempt indices, dark mask (draw below p_dark) and arrival times."""
+    draws = rng.random(n_attempts)
+    index = np.flatnonzero(draws < p_herald)
+    return index, draws[index] < p_dark, rng.uniform(0.0, window, index.size)
+
+
 def attempt_entanglement(
     params: SourceParams, rng: np.random.Generator
 ) -> tuple[TwoQubitState | DensityMatrix, float] | None:
     """One excitation attempt; on success, the emitted pair and arrival time."""
-    if rng.random() >= params.success_probability:
+    index, _, arrival = _herald(1, params.success_probability, 0.0, params.excitation_window, rng)
+    if index.size == 0:
         return None
-    arrival_time = rng.uniform(0.0, params.excitation_window)
-    return params.emitted_state(), arrival_time
+    return params.emitted_state(), float(arrival[0])
 
 
 def single_pulse_probability(theta: float, phi: float) -> float:
@@ -220,6 +231,31 @@ def two_pulse_probability(theta: float, phi: float, transfer_phi: float) -> floa
     return (1.0 - math.cos(phi - transfer_phi) * math.sin(theta)) / 2.0
 
 
+def _atom_batch(atom_state: np.ndarray) -> np.ndarray:
+    """One atom ket or density matrix as a batch of one."""
+    state = np.asarray(atom_state, dtype=complex)
+    if state.shape not in ((2,), (2, 2)):
+        raise ValueError(f"atom state must be a 2-vector or 2x2 matrix, got shape {state.shape}")
+    return state[None]
+
+
+def _apply_pulses(states: np.ndarray, seq: PulseSequence, arrival_time: np.ndarray) -> np.ndarray:
+    """Rotate a batch of atom kets (n, 2) or density matrices (n, 2, 2).
+
+    Two-pulse mode applies one constant rotation.  In single-pulse mode
+    precession adds 2*pi*f*t to the rotation azimuth, and
+    U(theta, phi + a) = D U(theta, phi) D^dagger with D = diag(1, e^{ia}).
+    """
+    u = rotation_matrix(seq.effective_setting(0.0))
+    if seq.mode == SINGLE_PULSE:
+        d = np.ones((len(arrival_time), 2), dtype=complex)
+        d[:, 1] = np.exp(2j * math.pi * seq.microwave_frequency * arrival_time)
+        u = d[:, :, None] * u * d.conj()[:, None, :]
+    if states.ndim == 2:
+        return (u @ states[:, :, None])[:, :, 0]
+    return u @ states @ np.conj(np.swapaxes(u, -1, -2))
+
+
 def apply_pulse_sequence(
     atom_state: np.ndarray, seq: PulseSequence, arrival_time: float
 ) -> np.ndarray:
@@ -230,39 +266,45 @@ def apply_pulse_sequence(
     mode its phase is absorbed into the rotation so the map depends only
     on the pulse phase difference.
     """
-    state = np.asarray(atom_state, dtype=complex)
-    u = rotation_matrix(seq.effective_setting(arrival_time))
-    if state.shape == (2,):
-        return u @ state
-    if state.shape == (2, 2):
-        return u @ state @ u.conj().T
-    raise ValueError(f"atom state must be a 2-vector or 2x2 matrix, got shape {state.shape}")
+    return _apply_pulses(_atom_batch(atom_state), seq, np.array([arrival_time]))[0]
 
 
 def _photon_marginal_and_conditionals(
     state: TwoQubitState | DensityMatrix,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Photon outcome probabilities and conditional atom states (index = 2s + p)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Photon outcome probabilities and the atom states (kets or matrices) they leave.
+
+    Stacked as (given outcome 0, given outcome 1, ground); the ground state
+    stands in for an outcome that never occurs and follows a dark click.
+    """
     if isinstance(state, TwoQubitState):
-        amps = state.amplitudes.reshape(2, 2)  # [s, p]
-        probs = np.sum(np.abs(amps) ** 2, axis=0)
-        conditionals = []
-        for p in range(2):
-            if probs[p] > 0.0:
-                conditionals.append(amps[:, p] / math.sqrt(probs[p]))
-            else:
-                conditionals.append(np.array([1.0, 0.0], dtype=complex))
-        return probs, conditionals
-    rho = densify(state).matrix.reshape(2, 2, 2, 2)  # [s, p, s', p']
-    probs = np.real(np.einsum("spsp->p", rho))
-    probs = np.clip(probs, 0.0, 1.0)
-    conditionals = []
-    for p in range(2):
-        if probs[p] > 0.0:
-            conditionals.append(rho[:, p, :, p] / probs[p])
-        else:
-            conditionals.append(np.diag([1.0, 0.0]).astype(complex))
-    return probs, conditionals
+        blocks = state.amplitudes.reshape(2, 2).T  # [p, s]
+        probs = np.sum(np.abs(blocks) ** 2, axis=1)
+        norms = np.sqrt(probs)
+        ground = np.array([1.0, 0.0], dtype=complex)
+    else:
+        rho = densify(state).matrix.reshape(2, 2, 2, 2)  # [s, p, s', p']
+        blocks = np.einsum("spap->psa", rho)
+        probs = np.clip(np.real(np.einsum("pss->p", blocks)), 0.0, 1.0)
+        norms = probs
+        ground = np.diag([1.0, 0.0]).astype(complex)
+    atoms = [block / norm if norm > 0.0 else ground for block, norm in zip(blocks, norms)]
+    return probs, np.stack([*atoms, ground])
+
+
+def _detect_photons(
+    p_zero: float, dark: np.ndarray, det: DetectorParams, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """PBS/PMT stage of a batch: photon outcome, clicking tube and acceptance.
+
+    A photon gives outcome 0 with probability ``p_zero``; a dark click
+    lands on either tube with equal probability and is always recorded.
+    """
+    outcome = (rng.random(dark.size) >= np.where(dark, 0.5, p_zero)).astype(np.int64)
+    pmt = outcome ^ int(det.pmt_role_swapped)
+    efficiency = np.array([det.pmt_efficiency_1, det.pmt_efficiency_2])[pmt]
+    accepted = rng.random(dark.size) < np.where(dark, 1.0, efficiency)
+    return outcome, pmt, accepted
 
 
 def measure_photon(
@@ -278,55 +320,53 @@ def measure_photon(
     None when the click is lost (a non-event, discarded upstream).
     """
     probs, conditionals = _photon_marginal_and_conditionals(state)
-    outcome = int(rng.random() >= probs[0])
-    pmt_index = outcome ^ int(det.pmt_role_swapped)
-    if rng.random() >= det.pmt_efficiency(pmt_index):
+    outcome, pmt, accepted = _detect_photons(probs[0], np.zeros(1, dtype=bool), det, rng)
+    if not accepted[0]:
         return None
-    return pmt_index, conditionals[outcome]
+    return int(pmt[0]), conditionals[outcome[0]]
+
+
+def _read_out(states: np.ndarray, det: DetectorParams, rng: np.random.Generator) -> np.ndarray:
+    """Fluorescence readout of a batch of kets or density matrices, with label flips."""
+    p_bright = np.abs(states[:, 0]) ** 2 if states.ndim == 2 else np.real(states[:, 0, 0])
+    outcome = (rng.random(len(states)) >= p_bright).astype(np.int64)
+    flip_probability = np.where(outcome == BRIGHT, det.atom_bright_error, det.atom_dark_error)
+    return outcome ^ (rng.random(len(states)) < flip_probability)
 
 
 def measure_atom(
     atom_state: np.ndarray, det: DetectorParams, rng: np.random.Generator
 ) -> int:
     """Fluorescence readout: BRIGHT for |0>, DARK for |1~>, with label flips."""
-    state = np.asarray(atom_state, dtype=complex)
-    if state.shape == (2,):
-        p_bright = float(abs(state[0]) ** 2)
-    elif state.shape == (2, 2):
-        p_bright = float(np.real(state[0, 0]))
-    else:
-        raise ValueError(f"atom state must be a 2-vector or 2x2 matrix, got shape {state.shape}")
-    outcome = BRIGHT if rng.random() < p_bright else DARK
-    flip_probability = det.atom_bright_error if outcome == BRIGHT else det.atom_dark_error
-    if rng.random() < flip_probability:
-        outcome ^= 1
-    return outcome
+    return int(_read_out(_atom_batch(atom_state), det, rng)[0])
 
 
-def _dark_event(
+def _heralded_chain(
+    index: np.ndarray,
+    dark: np.ndarray,
+    arrival: np.ndarray,
     source: SourceParams,
     pulse: PulseSequence,
     photon_setting: MeasurementSetting,
     det: DetectorParams,
     rng: np.random.Generator,
-    attempt_index: int,
-) -> EventRecord:
-    """A spurious heralding: random tube click, atom read out from its ground state."""
-    arrival_time = rng.uniform(0.0, source.excitation_window)
-    pmt_index = int(rng.random() < 0.5)
-    atom_state = apply_pulse_sequence(
-        np.array([1.0, 0.0], dtype=complex), pulse, arrival_time
-    )
-    atom_outcome = measure_atom(atom_state, det, rng)
-    return EventRecord(
-        attempt_index=attempt_index,
-        arrival_time=arrival_time,
-        setting_s=pulse.nominal_setting,
-        setting_p=photon_setting,
-        photon_outcome=pmt_index,
-        atom_outcome=atom_outcome,
-        pmt_role_swapped=det.pmt_role_swapped,
-    )
+) -> list[EventRecord]:
+    """Recorded events of a batch of heralded attempts.
+
+    Excite, photon analysis, PBS/PMT acceptance, pulse, readout; the photon
+    marginal and the conditional atom states are computed once per batch.
+    """
+    pair = rotate(source.emitted_state(), PHOTON, photon_setting)
+    probs, atom_states = _photon_marginal_and_conditionals(pair)
+    outcome, pmt, accepted = _detect_photons(probs[0], dark, det, rng)
+    atoms = atom_states[np.where(dark, 2, outcome)[accepted]]
+    index, arrival, pmt = index[accepted], arrival[accepted], pmt[accepted]
+    atom_outcome = _read_out(_apply_pulses(atoms, pulse, arrival), det, rng)
+    setting_s, swapped = pulse.nominal_setting, det.pmt_role_swapped
+    return [
+        EventRecord(i, t, setting_s, photon_setting, p, a, swapped)
+        for i, t, p, a in zip(index.tolist(), arrival.tolist(), pmt.tolist(), atom_outcome.tolist())
+    ]
 
 
 def run_trial(
@@ -338,28 +378,8 @@ def run_trial(
     attempt_index: int = 0,
 ) -> EventRecord | None:
     """One full attempt: excite, detect the photon, rotate the atom, read out."""
-    attempt = attempt_entanglement(source, rng)
-    if attempt is None:
-        if det.dark_event_probability > 0.0 and rng.random() < det.dark_event_probability:
-            return _dark_event(source, pulse, photon_setting, det, rng, attempt_index)
-        return None
-    pair, arrival_time = attempt
-    pair = rotate(pair, PHOTON, photon_setting)
-    detection = measure_photon(pair, det, rng)
-    if detection is None:
-        return None
-    pmt_index, atom_state = detection
-    atom_state = apply_pulse_sequence(atom_state, pulse, arrival_time)
-    atom_outcome = measure_atom(atom_state, det, rng)
-    return EventRecord(
-        attempt_index=attempt_index,
-        arrival_time=arrival_time,
-        setting_s=pulse.nominal_setting,
-        setting_p=photon_setting,
-        photon_outcome=pmt_index,
-        atom_outcome=atom_outcome,
-        pmt_role_swapped=det.pmt_role_swapped,
-    )
+    events = simulate_attempts(1, source, pulse, photon_setting, det, rng)
+    return replace(events[0], attempt_index=attempt_index) if events else None
 
 
 def simulate_attempts(
@@ -372,46 +392,21 @@ def simulate_attempts(
 ) -> list[EventRecord]:
     """Run a block of attempts, returning only the recorded events.
 
-    The success gate is drawn in bulk; each successful attempt then runs
-    the same per-event chain as ``run_trial``, and configured dark
-    events are interleaved at their per-attempt weight.
+    The success gate is drawn in bulk, chunk by chunk; the heralded
+    attempts of each chunk, with configured dark events interleaved at
+    their per-attempt weight, then run through the batched event chain.
     """
-    events: list[EventRecord] = []
-    chunk = 1_000_000
-    offset = 0
-    remaining = n_attempts
     p_true = source.success_probability
     p_dark = (1.0 - p_true) * det.dark_event_probability
-    while remaining > 0:
-        block = min(chunk, remaining)
-        draws = rng.random(block)
-        candidates = np.flatnonzero(draws < p_true + p_dark)
-        for local_index in candidates:
-            index = offset + int(local_index)
-            if draws[local_index] >= p_true:
-                events.append(_dark_event(source, pulse, photon_setting, det, rng, index))
-                continue
-            arrival_time = rng.uniform(0.0, source.excitation_window)
-            pair = rotate(source.emitted_state(), PHOTON, photon_setting)
-            detection = measure_photon(pair, det, rng)
-            if detection is None:
-                continue
-            pmt_index, atom_state = detection
-            atom_state = apply_pulse_sequence(atom_state, pulse, arrival_time)
-            atom_outcome = measure_atom(atom_state, det, rng)
-            events.append(
-                EventRecord(
-                    attempt_index=index,
-                    arrival_time=arrival_time,
-                    setting_s=pulse.nominal_setting,
-                    setting_p=photon_setting,
-                    photon_outcome=pmt_index,
-                    atom_outcome=atom_outcome,
-                    pmt_role_swapped=det.pmt_role_swapped,
-                )
-            )
-        offset += block
-        remaining -= block
+    events: list[EventRecord] = []
+    for offset in range(0, n_attempts, _ATTEMPT_CHUNK):
+        block = min(_ATTEMPT_CHUNK, n_attempts - offset)
+        index, dark, arrival = _herald(
+            block, p_true + p_dark, p_dark, source.excitation_window, rng
+        )
+        events += _heralded_chain(
+            offset + index, dark, arrival, source, pulse, photon_setting, det, rng
+        )
     return events
 
 
@@ -497,35 +492,26 @@ def iter_heralded_events(
     this runs the same chain as ``run_trial`` minus the Bernoulli gate.
     Rejected photon detections still cost a retry, as in the hardware,
     and configured dark events enter with their per-attempt weight.
+    Attempts are drawn in batches sized from the exact acceptance.
     """
     p_true = source.success_probability
     p_dark = (1.0 - p_true) * det.dark_event_probability
     dark_share = p_dark / (p_true + p_dark) if p_dark > 0.0 else 0.0
-    if dark_share == 0.0 and det.pmt_efficiency_1 == 0.0 and det.pmt_efficiency_2 == 0.0:
+    pair = rotate(source.emitted_state(), PHOTON, photon_setting)
+    probs, _ = _photon_marginal_and_conditionals(pair)
+    swapped = int(det.pmt_role_swapped)
+    photon_acceptance = sum(probs[o] * det.pmt_efficiency(o ^ swapped) for o in range(2))
+    acceptance = dark_share + (1.0 - dark_share) * photon_acceptance
+    if acceptance <= 0.0:
         raise ValueError("no outcome is ever recorded with these detector settings")
-    produced = 0
-    attempt_index = 0
-    while produced < n_events:
-        attempt_index += 1
-        if dark_share > 0.0 and rng.random() < dark_share:
-            produced += 1
-            yield _dark_event(source, pulse, photon_setting, det, rng, attempt_index - 1)
-            continue
-        arrival_time = rng.uniform(0.0, source.excitation_window)
-        pair = rotate(source.emitted_state(), PHOTON, photon_setting)
-        detection = measure_photon(pair, det, rng)
-        if detection is None:
-            continue
-        pmt_index, atom_state = detection
-        atom_state = apply_pulse_sequence(atom_state, pulse, arrival_time)
-        atom_outcome = measure_atom(atom_state, det, rng)
-        produced += 1
-        yield EventRecord(
-            attempt_index=attempt_index - 1,
-            arrival_time=arrival_time,
-            setting_s=pulse.nominal_setting,
-            setting_p=photon_setting,
-            photon_outcome=pmt_index,
-            atom_outcome=atom_outcome,
-            pmt_role_swapped=det.pmt_role_swapped,
-        )
+    need = n_events
+    offset = 0
+    while need > 0:
+        batch = math.ceil(min(_ATTEMPT_CHUNK, need / acceptance))
+        index, dark, arrival = _herald(batch, 1.0, dark_share, source.excitation_window, rng)
+        events = _heralded_chain(
+            offset + index, dark, arrival, source, pulse, photon_setting, det, rng
+        )[:need]
+        need -= len(events)
+        offset += batch
+        yield from events

@@ -234,6 +234,11 @@ class TestTsirelsonScan:
         with pytest.raises(ValueError):
             tsirelson_scan(7)
 
+    def test_rejects_grid_above_ceiling_before_allocating(self):
+        # (N + 1)^2 work arrays at N = 1e8 would need about 80 PB
+        with pytest.raises(ValueError, match="grid resolution"):
+            tsirelson_scan(100_000_000)
+
     def test_argmax_realizes_reported_value(self):
         result = tsirelson_scan(32)
         a1, a2, b1, b2 = result.thetas

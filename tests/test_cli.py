@@ -275,6 +275,15 @@ class TestConfigFileHandling:
             (["bounds", "--fidelity", "0.87", "--restarts", "4"], "--restarts"),
             (["chsh", "--threads", "2"], "--threads"),
             (["swap", "--threads", "2"], "--threads"),
+            (["chsh", "--werner-p", "1.5"], "werner_p"),
+            (["chsh", "--bright-error", "2"], "atom_bright_error"),
+            (["chsh", "--events", "1"], "events_per_setting"),
+            (["lhv", "--grid", "4"], "grid"),
+            (["lhv", "--grid", "100000000"], "grid"),
+            (["swap", "--nodes", "1"], "nodes"),
+            (["swap", "--attempt-rate", "-3"], "attempt_rate"),
+            (["loopholes", "--detection-time", "-1"], "detection_time"),
+            (["loopholes", "--separation", "-2"], "separation"),
         ],
     )
     def test_bad_value_exits_2_naming_the_key(self, capsys, argv, key):

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from conftest import oracle_outcome_probabilities
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim.protocol import (
@@ -350,6 +351,42 @@ class TestSamplingConsistency:
                 band = 5.0 * math.sqrt(f * (1.0 - f) / n)
                 assert abs(observed / n - f) <= band
 
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        werner_p=st.floats(0.0, 1.0),
+        theta_atom=st.floats(0.0, math.pi),
+        theta_photon=st.floats(0.0, math.pi),
+        pmt_efficiency_1=st.floats(0.05, 1.0),
+        pmt_efficiency_2=st.floats(0.05, 1.0),
+        bright_error=st.floats(0.0, 0.2),
+        dark_error=st.floats(0.0, 0.2),
+        dark_event_probability=st.floats(0.0, 1e-3),
+        swapped=st.booleans(),
+    )
+    def test_event_chain_matches_closed_form_everywhere(
+        self, werner_p, theta_atom, theta_photon, pmt_efficiency_1, pmt_efficiency_2,
+        bright_error, dark_error, dark_event_probability, swapped,
+    ):
+        source = SourceParams(werner_p=werner_p)
+        pulse = PulseSequence(TWO_PULSE, theta_atom)
+        setting_p = MeasurementSetting(theta_photon)
+        det = DetectorParams(
+            pmt_efficiency_1=pmt_efficiency_1,
+            pmt_efficiency_2=pmt_efficiency_2,
+            atom_bright_error=bright_error,
+            atom_dark_error=dark_error,
+            dark_event_probability=dark_event_probability,
+            waveplate_angle=math.pi / 4 if swapped else 0.0,
+        )
+        n = 5000
+        counts = _tally_events(
+            iter_heralded_events(n, source, pulse, setting_p, det, np.random.default_rng(97))
+        )
+        expected, _ = recorded_outcome_distribution(source, pulse, setting_p, det)
+        for observed, f in zip(counts, expected):
+            band = 5.0 * math.sqrt(f * (1.0 - f) / n)
+            assert abs(observed / n - f) <= band
+
     def test_distribution_rejects_single_pulse_mode(self):
         with pytest.raises(ValueError, match="two-pulse"):
             recorded_outcome_distribution(
@@ -428,3 +465,96 @@ class TestDarkEvents:
         assert 10 < len(hits) < 90
         # theta = 0 leaves the ground-state atom bright
         assert all(e.atom_outcome == BRIGHT for e in hits)
+
+
+def _single_pulse_oracle(werner_p, pulse, theta_photon, det, window) -> np.ndarray:
+    """Recorded (atom, PMT) fractions from Bloch-axis projectors, averaged over arrivals."""
+    pair = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    rho = werner_p * np.outer(pair, pair) + (1.0 - werner_p) * np.eye(4) / 4.0
+    n_times = 4001
+    times = (np.arange(n_times) + 0.5) * window / n_times
+    joint = np.mean(
+        [
+            oracle_outcome_probabilities(
+                rho,
+                (pulse.rotation_theta,
+                 pulse.rotation_phase + 2.0 * math.pi * pulse.microwave_frequency * t),
+                (theta_photon, 0.0),
+            )
+            for t in times
+        ],
+        axis=0,
+    ).reshape(2, 2)  # [atom, photon outcome]
+    flip = np.array(
+        [[1.0 - det.atom_bright_error, det.atom_dark_error],
+         [det.atom_bright_error, 1.0 - det.atom_dark_error]]
+    )
+    recorded = flip @ joint
+    swapped = int(det.pmt_role_swapped)
+    recorded = recorded[:, [swapped, 1 - swapped]] * [det.pmt_efficiency_1, det.pmt_efficiency_2]
+    return (recorded / recorded.sum()).reshape(-1)
+
+
+class TestSinglePulseChain:
+    @pytest.mark.parametrize(
+        "werner_p, window, rotation_phase",
+        [
+            (1.0, 50e-9, 0.0),  # 725 precession periods: the azimuth washes out
+            (1.0, 1e-11, 0.7),  # 0.145 periods: arrival time shifts the azimuth
+            (0.82667, 1e-11, 0.7),
+        ],
+    )
+    def test_tallies_match_arrival_averaged_oracle(self, werner_p, window, rotation_phase):
+        source = SourceParams(werner_p=werner_p, excitation_window=window)
+        pulse = PulseSequence(SINGLE_PULSE, math.pi / 2, rotation_phase=rotation_phase)
+        theta_photon = math.pi / 4
+        det = DetectorParams(
+            pmt_efficiency_1=0.9,
+            pmt_efficiency_2=0.6,
+            atom_bright_error=0.03,
+            atom_dark_error=0.05,
+            waveplate_angle=math.pi / 4,
+        )
+        n = 20_000
+        counts = _tally_events(
+            iter_heralded_events(
+                n, source, pulse, MeasurementSetting(theta_photon), det,
+                np.random.default_rng(101),
+            )
+        )
+        expected = _single_pulse_oracle(werner_p, pulse, theta_photon, det, window)
+        for observed, f in zip(counts, expected):
+            band = 5.0 * math.sqrt(f * (1.0 - f) / n)
+            assert abs(observed / n - f) <= band
+
+
+class TestAttemptIndices:
+    source = SourceParams(excitation_probability=1.0)  # 2e-3 per attempt
+    pulse = PulseSequence(TWO_PULSE, 0.3)
+    setting_p = MeasurementSetting(0.6)
+    det = DetectorParams(pmt_efficiency_1=0.5, pmt_efficiency_2=0.7, dark_event_probability=1e-3)
+
+    def test_simulate_attempts_indices_increase_inside_the_block(self):
+        n_attempts = 2_500_000  # several bulk-gate chunks
+        events = simulate_attempts(
+            n_attempts, self.source, self.pulse, self.setting_p, self.det,
+            np.random.default_rng(103),
+        )
+        indices = [event.attempt_index for event in events]
+        assert len(indices) > 1000
+        assert all(a < b for a, b in zip(indices, indices[1:]))
+        assert indices[0] >= 0 and indices[-1] < n_attempts
+        assert indices[-1] > 0.9 * n_attempts
+
+    def test_heralded_event_indices_increase(self):
+        n = 20_000
+        events = list(
+            iter_heralded_events(
+                n, self.source, self.pulse, self.setting_p, self.det,
+                np.random.default_rng(107),
+            )
+        )
+        indices = [event.attempt_index for event in events]
+        assert len(indices) == n
+        assert indices[0] >= 0
+        assert all(a < b for a, b in zip(indices, indices[1:]))
