@@ -74,7 +74,7 @@ _FINITE: _Allowed = ("finite", lambda v: True)
 # Per-command configuration schema: key -> (json type, default, allowed values).
 # ``None`` defaults mark required or optional-by-absence keys.
 _COMMON_SCHEMA: dict[str, tuple[type, Any, _Allowed | None]] = {
-    "seed": (int, DEFAULT_SEED, None),
+    "seed": (int, DEFAULT_SEED, (">= 0", lambda v: v >= 0)),
     "format": (str, "json", None),
     "output": (str, None, None),
 }

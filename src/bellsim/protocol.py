@@ -48,7 +48,7 @@ TWO_PULSE = "two_pulse"
 BRIGHT = 0  # atom found in the fluorescing manifold, qubit |0>
 DARK = 1  # atom shelved in the transferred state, qubit |1~>
 
-_ATTEMPT_CHUNK = 1_000_000  # attempts per bulk success gate, bounding its memory
+_ATTEMPT_CHUNK = 1_000_000  # heralded attempts per iter_heralded_events batch, bounding its memory
 
 
 @dataclass(frozen=True)
@@ -202,23 +202,32 @@ class EventRecord:
     pmt_role_swapped: bool
 
 
-def _herald(
-    n_attempts: int, p_herald: float, p_dark: float, window: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Heralded attempt indices, dark mask (draw below p_dark) and arrival times."""
-    draws = rng.random(n_attempts)
-    index = np.flatnonzero(draws < p_herald)
-    return index, draws[index] < p_dark, rng.uniform(0.0, window, index.size)
+def _herald_probability(source: SourceParams, det: DetectorParams) -> tuple[float, float]:
+    """Per-attempt herald probability and the share of heralds that are dark clicks."""
+    p_true = source.success_probability
+    p_dark = (1.0 - p_true) * det.dark_event_probability
+    return p_true + p_dark, (p_dark / (p_true + p_dark) if p_dark > 0.0 else 0.0)
+
+
+def _herald(n_attempts: int, p_herald: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of the heralded attempts among n_attempts, each heralded with p_herald.
+
+    Exact in O(heralds): the herald count is Binomial(n_attempts, p_herald)
+    and, given the count, the heralded attempts are a uniform random subset.
+    """
+    count = rng.binomial(n_attempts, p_herald)
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(rng.choice(n_attempts, count, replace=False, shuffle=False))
 
 
 def attempt_entanglement(
     params: SourceParams, rng: np.random.Generator
 ) -> tuple[TwoQubitState | DensityMatrix, float] | None:
     """One excitation attempt; on success, the emitted pair and arrival time."""
-    index, _, arrival = _herald(1, params.success_probability, 0.0, params.excitation_window, rng)
-    if index.size == 0:
+    if _herald(1, params.success_probability, rng).size == 0:
         return None
-    return params.emitted_state(), float(arrival[0])
+    return params.emitted_state(), float(rng.uniform(0.0, params.excitation_window))
 
 
 def single_pulse_probability(theta: float, phi: float) -> float:
@@ -343,25 +352,30 @@ def measure_atom(
 
 def _heralded_chain(
     index: np.ndarray,
-    dark: np.ndarray,
-    arrival: np.ndarray,
     source: SourceParams,
     pulse: PulseSequence,
     photon_setting: MeasurementSetting,
     det: DetectorParams,
     rng: np.random.Generator,
+    limit: int | None = None,
 ) -> list[EventRecord]:
-    """Recorded events of a batch of heralded attempts.
+    """Recorded events of a batch of heralded attempts, at most ``limit`` of them.
 
-    Excite, photon analysis, PBS/PMT acceptance, pulse, readout; the photon
-    marginal and the conditional atom states are computed once per batch.
+    The photon marginal and the conditional atom states are computed once per
+    batch, and rotated once in two-pulse mode, which ignores arrival time.
     """
     pair = rotate(source.emitted_state(), PHOTON, photon_setting)
     probs, atom_states = _photon_marginal_and_conditionals(pair)
+    dark = rng.random(index.size) < _herald_probability(source, det)[1]
     outcome, pmt, accepted = _detect_photons(probs[0], dark, det, rng)
-    atoms = atom_states[np.where(dark, 2, outcome)[accepted]]
-    index, arrival, pmt = index[accepted], arrival[accepted], pmt[accepted]
-    atom_outcome = _read_out(_apply_pulses(atoms, pulse, arrival), det, rng)
+    which = np.where(dark, 2, outcome)[accepted][:limit]
+    index, pmt = index[accepted][:limit], pmt[accepted][:limit]
+    arrival = rng.uniform(0.0, source.excitation_window, index.size)
+    if pulse.mode == TWO_PULSE:
+        atoms = _apply_pulses(atom_states, pulse, np.zeros(3))[which]
+    else:
+        atoms = _apply_pulses(atom_states[which], pulse, arrival)
+    atom_outcome = _read_out(atoms, det, rng)
     setting_s, swapped = pulse.nominal_setting, det.pmt_role_swapped
     return [
         EventRecord(i, t, setting_s, photon_setting, p, a, swapped)
@@ -392,22 +406,11 @@ def simulate_attempts(
 ) -> list[EventRecord]:
     """Run a block of attempts, returning only the recorded events.
 
-    The success gate is drawn in bulk, chunk by chunk; the heralded
-    attempts of each chunk, with configured dark events interleaved at
-    their per-attempt weight, then run through the batched event chain.
+    The heralded attempts, dark clicks included, are drawn exactly in
+    O(heralds), not O(n_attempts), then run through the batched event chain.
     """
-    p_true = source.success_probability
-    p_dark = (1.0 - p_true) * det.dark_event_probability
-    events: list[EventRecord] = []
-    for offset in range(0, n_attempts, _ATTEMPT_CHUNK):
-        block = min(_ATTEMPT_CHUNK, n_attempts - offset)
-        index, dark, arrival = _herald(
-            block, p_true + p_dark, p_dark, source.excitation_window, rng
-        )
-        events += _heralded_chain(
-            offset + index, dark, arrival, source, pulse, photon_setting, det, rng
-        )
-    return events
+    index = _herald(n_attempts, _herald_probability(source, det)[0], rng)
+    return _heralded_chain(index, source, pulse, photon_setting, det, rng) if index.size else []
 
 
 def recorded_outcome_distribution(
@@ -494,9 +497,7 @@ def iter_heralded_events(
     and configured dark events enter with their per-attempt weight.
     Attempts are drawn in batches sized from the exact acceptance.
     """
-    p_true = source.success_probability
-    p_dark = (1.0 - p_true) * det.dark_event_probability
-    dark_share = p_dark / (p_true + p_dark) if p_dark > 0.0 else 0.0
+    _, dark_share = _herald_probability(source, det)
     pair = rotate(source.emitted_state(), PHOTON, photon_setting)
     probs, _ = _photon_marginal_and_conditionals(pair)
     swapped = int(det.pmt_role_swapped)
@@ -508,10 +509,9 @@ def iter_heralded_events(
     offset = 0
     while need > 0:
         batch = math.ceil(min(_ATTEMPT_CHUNK, need / acceptance))
-        index, dark, arrival = _herald(batch, 1.0, dark_share, source.excitation_window, rng)
         events = _heralded_chain(
-            offset + index, dark, arrival, source, pulse, photon_setting, det, rng
-        )[:need]
+            offset + np.arange(batch), source, pulse, photon_setting, det, rng, need
+        )
         need -= len(events)
         offset += batch
         yield from events

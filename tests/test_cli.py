@@ -284,6 +284,11 @@ class TestConfigFileHandling:
             (["swap", "--attempt-rate", "-3"], "attempt_rate"),
             (["loopholes", "--detection-time", "-1"], "detection_time"),
             (["loopholes", "--separation", "-2"], "separation"),
+            (["chsh", "--seed", "-1"], "seed"),
+            (["lhv", "--seed", "-1"], "seed"),
+            (["swap", "--seed", "-1"], "seed"),
+            (["loopholes", "--seed", "-1"], "seed"),
+            (["bounds", "--fidelity", "0.87", "--seed", "-1"], "seed"),
         ],
     )
     def test_bad_value_exits_2_naming_the_key(self, capsys, argv, key):

@@ -1,6 +1,7 @@
 """Tests of the stochastic entanglement-pipeline model."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -453,6 +454,31 @@ class TestDarkEvents:
             band = 5.0 * math.sqrt(f * (1.0 - f) / n)
             assert abs(observed / n - f) <= band
 
+    def test_simulate_attempts_matches_closed_form_with_darks(self):
+        # darks make up a third of the heralds: a dark mask drawn at the
+        # per-attempt dark probability instead of the dark share fails here
+        source = SourceParams(werner_p=0.85, excitation_probability=1.0)  # 2e-3 per attempt
+        pulse = PulseSequence(TWO_PULSE, math.pi / 3)
+        setting_p = MeasurementSetting(math.pi / 4)
+        det = DetectorParams(
+            pmt_efficiency_1=0.9,
+            pmt_efficiency_2=0.5,
+            atom_bright_error=0.02,
+            atom_dark_error=0.05,
+            dark_event_probability=source.success_probability / 2.0,
+        )
+        counts = _tally_events(
+            simulate_attempts(
+                5_000_000, source, pulse, setting_p, det, np.random.default_rng(73)
+            )
+        )
+        n = counts.sum()
+        assert n > 5000
+        expected, _ = recorded_outcome_distribution(source, pulse, setting_p, det)
+        for observed, f in zip(counts, expected):
+            band = 5.0 * math.sqrt(f * (1.0 - f) / n)
+            assert abs(observed / n - f) <= band
+
     def test_run_trial_emits_dark_events(self):
         rng = np.random.default_rng(71)
         source = SourceParams(excitation_probability=0.0)
@@ -535,7 +561,7 @@ class TestAttemptIndices:
     det = DetectorParams(pmt_efficiency_1=0.5, pmt_efficiency_2=0.7, dark_event_probability=1e-3)
 
     def test_simulate_attempts_indices_increase_inside_the_block(self):
-        n_attempts = 2_500_000  # several bulk-gate chunks
+        n_attempts = 2_500_000  # heralds spread over the whole block
         events = simulate_attempts(
             n_attempts, self.source, self.pulse, self.setting_p, self.det,
             np.random.default_rng(103),
@@ -558,3 +584,42 @@ class TestAttemptIndices:
         assert len(indices) == n
         assert indices[0] >= 0
         assert all(a < b for a, b in zip(indices, indices[1:]))
+
+
+class TestHeraldGate:
+    pulse = PulseSequence(TWO_PULSE, 0.3)
+    setting_p = MeasurementSetting(0.6)
+
+    def test_cost_does_not_grow_with_attempts(self):
+        source = SourceParams(excitation_probability=1e-8)  # 2e-11 per attempt
+        n_attempts = 10**12
+        start = time.perf_counter()
+        events = simulate_attempts(
+            n_attempts, source, self.pulse, self.setting_p, DetectorParams(),
+            np.random.default_rng(109),
+        )
+        assert time.perf_counter() - start < 1.0
+        mean = n_attempts * source.success_probability
+        assert abs(len(events) - mean) < 5.0 * math.sqrt(mean)
+        indices = [event.attempt_index for event in events]
+        assert all(a < b for a, b in zip(indices, indices[1:]))
+        assert indices[0] >= 0 and indices[-1] < n_attempts
+
+    def test_zero_probability_records_nothing(self):
+        source = SourceParams(excitation_probability=0.0)
+        det = DetectorParams()
+        assert source.success_probability == det.dark_event_probability == 0.0
+        events = simulate_attempts(
+            10**9, source, self.pulse, self.setting_p, det, np.random.default_rng(113)
+        )
+        assert events == []
+
+    @pytest.mark.parametrize("n_attempts", [1, 5000, 20_000])
+    def test_certain_herald_records_every_attempt(self, n_attempts):
+        source = SourceParams(excitation_probability=1.0, collection_efficiency=1.0,
+                              detector_quantum_efficiency=1.0)
+        events = simulate_attempts(
+            n_attempts, source, self.pulse, self.setting_p, DetectorParams(),
+            np.random.default_rng(127),
+        )
+        assert [event.attempt_index for event in events] == list(range(n_attempts))
