@@ -409,7 +409,7 @@ def simulate_attempts(
     The heralded attempts, dark clicks included, are drawn exactly in
     O(heralds), not O(n_attempts), then run through the batched event chain.
     """
-    index = _herald(n_attempts, _herald_probability(source, det)[0], rng)
+    index = _herald(max(n_attempts, 0), _herald_probability(source, det)[0], rng)
     return _heralded_chain(index, source, pulse, photon_setting, det, rng) if index.size else []
 
 

@@ -1,7 +1,6 @@
 """Tests of the stochastic entanglement-pipeline model."""
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -591,19 +590,27 @@ class TestHeraldGate:
     setting_p = MeasurementSetting(0.6)
 
     def test_cost_does_not_grow_with_attempts(self):
+        # No clock here: a gate that draws per attempt cannot finish 1e12
+        # attempts at all (8 TB of uniforms, or a million 1e6-attempt chunks).
         source = SourceParams(excitation_probability=1e-8)  # 2e-11 per attempt
         n_attempts = 10**12
-        start = time.perf_counter()
         events = simulate_attempts(
             n_attempts, source, self.pulse, self.setting_p, DetectorParams(),
             np.random.default_rng(109),
         )
-        assert time.perf_counter() - start < 1.0
         mean = n_attempts * source.success_probability
         assert abs(len(events) - mean) < 5.0 * math.sqrt(mean)
         indices = [event.attempt_index for event in events]
+        assert len(indices) > 0
         assert all(a < b for a, b in zip(indices, indices[1:]))
         assert indices[0] >= 0 and indices[-1] < n_attempts
+
+    def test_negative_attempts_record_nothing(self):
+        source = SourceParams(excitation_probability=1.0)
+        events = simulate_attempts(
+            -5, source, self.pulse, self.setting_p, DetectorParams(), np.random.default_rng(131)
+        )
+        assert events == []
 
     def test_zero_probability_records_nothing(self):
         source = SourceParams(excitation_probability=0.0)
