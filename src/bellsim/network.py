@@ -28,6 +28,9 @@ from .states import (
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
+_LATENCY_TERMS = 65536  # most terms summed of the latency series
+_LATENCY_CHUNK = 4096
+
 PSI_PLUS = "psi_plus"
 PSI_MINUS = "psi_minus"
 BSA_FAIL = "fail"
@@ -261,6 +264,43 @@ def adapted_bell_angles(outcome: str) -> BellAngles:
     raise ValueError(f"no adapted angles for analyzer outcome {outcome!r}")
 
 
+def _harmonic(n: int) -> float:
+    """H_n = 1 + 1/2 + ... + 1/n; the asymptotic series is exact to rounding from n = 1000."""
+    if n < 1000:
+        return math.fsum(1.0 / k for k in range(1, n + 1))
+    return math.log(n) + np.euler_gamma + 1.0 / (2 * n) - 1.0 / (12 * n**2) + 1.0 / (120 * n**4)
+
+
+def _expected_max_attempts(n_links: int, p: float) -> float:
+    """Expected attempts until all n_links links are up, each independently with p per attempt.
+
+    E[max] = sum_{t>=0} 1 - (1 - q^t)^n with q = 1 - p: every term is
+    positive, so there is no cancellation, and each is evaluated with
+    log1p/expm1.  Where that series would need more than
+    ``_LATENCY_TERMS`` terms to reach 1e-17 of its sum (small p), the
+    Euler-Maclaurin form H_n / lambda + 1/2 with lambda = -log(q) is used
+    instead; for n >= 2 its error there is far below 1e-12 relative.
+    """
+    if n_links == 1:
+        return 1.0 / p
+    if p == 1.0:
+        return 1.0
+    lam = -math.log1p(-p)
+    if lam * _LATENCY_TERMS < math.log(n_links) + 40.0:
+        return _harmonic(n_links) / lam + 0.5
+    total = 1.0  # the t = 0 term
+    for start in range(1, _LATENCY_TERMS, _LATENCY_CHUNK):
+        log_q_t = -lam * np.arange(start, start + _LATENCY_CHUNK)
+        log_miss = np.where(  # log(1 - q^t), accurate near q^t = 0 and q^t = 1
+            log_q_t < -math.log(2.0), np.log1p(-np.exp(log_q_t)), np.log(-np.expm1(log_q_t))
+        )
+        terms = -np.expm1(n_links * log_miss)
+        total += float(np.sum(terms))
+        if terms[-1] <= 1e-17 * total:
+            break
+    return total
+
+
 def chain_latency(
     nodes: int,
     link: LinkBudget,
@@ -271,9 +311,10 @@ def chain_latency(
 
     Each of the nodes-1 links retries independently at ``attempt_rate``
     with per-attempt success ``per_attempt_success`` times the link's
-    photon survival; the expectation of the slowest link follows from
-    inclusion-exclusion over geometric waiting times.  Swap operations
-    are treated as instantaneous, a deliberate simplification.
+    photon survival; the expected wait for the slowest link is computed
+    without cancellation, so it holds at any node count and tiny
+    success.  Swap operations are treated as instantaneous, a deliberate
+    simplification.
     """
     if nodes < 2:
         raise ValueError("a chain needs at least two nodes")
@@ -284,8 +325,7 @@ def chain_latency(
     p = per_attempt_success * photon_survival(link)
     if p <= 0.0:
         raise ValueError("effective per-attempt success vanished (lossy link)")
-    n_links = nodes - 1
-    expected_attempts = 0.0
-    for k in range(1, n_links + 1):
-        expected_attempts += (-1.0) ** (k + 1) * math.comb(n_links, k) / (1.0 - (1.0 - p) ** k)
-    return expected_attempts / attempt_rate
+    latency = _expected_max_attempts(nodes - 1, p) / attempt_rate
+    if not math.isfinite(latency):
+        raise ValueError("expected latency overflows a float")
+    return latency

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
+from itertools import repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -189,9 +190,8 @@ class DetectorParams:
         return self.pmt_efficiency_1 if pmt_index == 0 else self.pmt_efficiency_2
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One successful, recorded entanglement trial."""
+class EventRecord(NamedTuple):
+    """One successful, recorded entanglement trial (immutable; copy with ``_replace``)."""
 
     attempt_index: int
     arrival_time: float
@@ -248,21 +248,39 @@ def _atom_batch(atom_state: np.ndarray) -> np.ndarray:
     return state[None]
 
 
+def _phase(states: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """D psi for kets (n, 2), D rho D^dagger for density matrices (n, 2, 2); D = diag(1, d)."""
+    out = states.copy()
+    if states.ndim == 2:
+        out[:, 1] *= d
+    else:
+        out[:, 1, 0] *= d
+        out[:, 0, 1] *= d.conj()
+    return out
+
+
+def _rotate_stack(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U psi for kets (n, 2), U rho U^dagger for density matrices (n, 2, 2), as 2-D products."""
+    if states.ndim == 2:
+        return states @ u.T
+    right = (states.reshape(-1, 2) @ u.conj().T).reshape(states.shape)  # rho U^dagger
+    return (right.swapaxes(1, 2).reshape(-1, 2) @ u.T).reshape(states.shape).swapaxes(1, 2)
+
+
 def _apply_pulses(states: np.ndarray, seq: PulseSequence, arrival_time: np.ndarray) -> np.ndarray:
     """Rotate a batch of atom kets (n, 2) or density matrices (n, 2, 2).
 
-    Two-pulse mode applies one constant rotation.  In single-pulse mode
-    precession adds 2*pi*f*t to the rotation azimuth, and
-    U(theta, phi + a) = D U(theta, phi) D^dagger with D = diag(1, e^{ia}).
+    Two-pulse mode applies one constant rotation U.  In single-pulse mode
+    precession adds a = 2*pi*f*t to the rotation azimuth, and
+    U(theta, phi + a) = D U(theta, phi) D^dagger with D = diag(1, e^{ia}):
+    the states are phased by D^dagger, rotated by the same constant U and
+    phased back by D.
     """
     u = rotation_matrix(seq.effective_setting(0.0))
-    if seq.mode == SINGLE_PULSE:
-        d = np.ones((len(arrival_time), 2), dtype=complex)
-        d[:, 1] = np.exp(2j * math.pi * seq.microwave_frequency * arrival_time)
-        u = d[:, :, None] * u * d.conj()[:, None, :]
-    if states.ndim == 2:
-        return (u @ states[:, :, None])[:, :, 0]
-    return u @ states @ np.conj(np.swapaxes(u, -1, -2))
+    if seq.mode == TWO_PULSE:
+        return _rotate_stack(states, u)
+    d = np.exp(2j * math.pi * seq.microwave_frequency * arrival_time)
+    return _phase(_rotate_stack(_phase(states, d.conj()), u), d)
 
 
 def apply_pulse_sequence(
@@ -350,8 +368,16 @@ def measure_atom(
     return int(_read_out(_atom_batch(atom_state), det, rng)[0])
 
 
+def _photon_stage(
+    source: SourceParams, photon_setting: MeasurementSetting
+) -> tuple[np.ndarray, np.ndarray]:
+    """Photon marginal and conditional atom states of the emitted pair in the photon basis."""
+    return _photon_marginal_and_conditionals(rotate(source.emitted_state(), PHOTON, photon_setting))
+
+
 def _heralded_chain(
     index: np.ndarray,
+    photon: tuple[np.ndarray, np.ndarray],
     source: SourceParams,
     pulse: PulseSequence,
     photon_setting: MeasurementSetting,
@@ -361,11 +387,10 @@ def _heralded_chain(
 ) -> list[EventRecord]:
     """Recorded events of a batch of heralded attempts, at most ``limit`` of them.
 
-    The photon marginal and the conditional atom states are computed once per
-    batch, and rotated once in two-pulse mode, which ignores arrival time.
+    ``photon`` is the sampler call's ``_photon_stage``.  Two-pulse mode,
+    which ignores arrival time, rotates its three atom states once per batch.
     """
-    pair = rotate(source.emitted_state(), PHOTON, photon_setting)
-    probs, atom_states = _photon_marginal_and_conditionals(pair)
+    probs, atom_states = photon
     dark = rng.random(index.size) < _herald_probability(source, det)[1]
     outcome, pmt, accepted = _detect_photons(probs[0], dark, det, rng)
     which = np.where(dark, 2, outcome)[accepted][:limit]
@@ -376,11 +401,16 @@ def _heralded_chain(
     else:
         atoms = _apply_pulses(atom_states[which], pulse, arrival)
     atom_outcome = _read_out(atoms, det, rng)
-    setting_s, swapped = pulse.nominal_setting, det.pmt_role_swapped
-    return [
-        EventRecord(i, t, setting_s, photon_setting, p, a, swapped)
-        for i, t, p, a in zip(index.tolist(), arrival.tolist(), pmt.tolist(), atom_outcome.tolist())
-    ]
+    columns = (
+        index.tolist(),
+        arrival.tolist(),
+        repeat(pulse.nominal_setting),
+        repeat(photon_setting),
+        pmt.tolist(),
+        atom_outcome.tolist(),
+        repeat(det.pmt_role_swapped),
+    )
+    return list(map(EventRecord._make, zip(*columns)))
 
 
 def run_trial(
@@ -393,7 +423,7 @@ def run_trial(
 ) -> EventRecord | None:
     """One full attempt: excite, detect the photon, rotate the atom, read out."""
     events = simulate_attempts(1, source, pulse, photon_setting, det, rng)
-    return replace(events[0], attempt_index=attempt_index) if events else None
+    return events[0]._replace(attempt_index=attempt_index) if events else None
 
 
 def simulate_attempts(
@@ -410,7 +440,11 @@ def simulate_attempts(
     O(heralds), not O(n_attempts), then run through the batched event chain.
     """
     index = _herald(max(n_attempts, 0), _herald_probability(source, det)[0], rng)
-    return _heralded_chain(index, source, pulse, photon_setting, det, rng) if index.size else []
+    if index.size == 0:
+        return []
+    return _heralded_chain(
+        index, _photon_stage(source, photon_setting), source, pulse, photon_setting, det, rng
+    )
 
 
 def recorded_outcome_distribution(
@@ -498,8 +532,8 @@ def iter_heralded_events(
     Attempts are drawn in batches sized from the exact acceptance.
     """
     _, dark_share = _herald_probability(source, det)
-    pair = rotate(source.emitted_state(), PHOTON, photon_setting)
-    probs, _ = _photon_marginal_and_conditionals(pair)
+    photon = _photon_stage(source, photon_setting)
+    probs = photon[0]
     swapped = int(det.pmt_role_swapped)
     photon_acceptance = sum(probs[o] * det.pmt_efficiency(o ^ swapped) for o in range(2))
     acceptance = dark_share + (1.0 - dark_share) * photon_acceptance
@@ -510,7 +544,7 @@ def iter_heralded_events(
     while need > 0:
         batch = math.ceil(min(_ATTEMPT_CHUNK, need / acceptance))
         events = _heralded_chain(
-            offset + np.arange(batch), source, pulse, photon_setting, det, rng, need
+            offset + np.arange(batch), photon, source, pulse, photon_setting, det, rng, need
         )
         need -= len(events)
         offset += batch

@@ -1,12 +1,14 @@
 """Tests of loophole arithmetic, Bell-state analysis, swapping, and latency."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim.cli import main
 from bellsim.network import (
     BSA_FAIL,
     PSI_MINUS,
@@ -292,6 +294,24 @@ class TestEntanglementSwap:
             adapted_bell_angles(BSA_FAIL)
 
 
+def harmonic(n):
+    return math.fsum(1.0 / k for k in range(1, n + 1))
+
+
+def tail_sum_attempts(links, p):
+    """E[max] = sum_t P(max > t), summed until the terms (about n q^t) fall below e^-45."""
+    if p == 1.0:
+        return 1.0  # every link is up at the first attempt
+    log_q = math.log1p(-p)
+    t = np.arange(1, math.ceil((math.log(links) + 45.0) / -log_q))
+    miss = -np.expm1(t * log_q)  # 1 - q^t
+    return 1.0 + math.fsum(-np.expm1(links * np.log(miss)))
+
+
+log_probability = st.floats(min_value=-17.0, max_value=0.0).map(lambda e: 10.0**e)
+chain_nodes = st.integers(min_value=2, max_value=200)
+
+
 class TestChainLatency:
     def test_single_link_unit_probability(self):
         assert chain_latency(2, LinkBudget(), attempt_rate=5.0, per_attempt_success=1.0) == (
@@ -334,6 +354,52 @@ class TestChainLatency:
         ]
         assert all(b <= a + 1e-12 for a, b in zip(latencies_r, latencies_r[1:]))
 
+    def test_sixty_node_chain(self):
+        latency = chain_latency(60, LinkBudget(), attempt_rate=1.0, per_attempt_success=2e-4)
+        assert latency == pytest.approx(23314.187, abs=1e-3)
+
+    def test_eighty_node_chain_takes_seconds(self):
+        latency = chain_latency(80, LinkBudget(), attempt_rate=8.3e3, per_attempt_success=2e-4)
+        assert latency == pytest.approx(harmonic(79) / 2e-4 / 8.3e3, rel=1e-4)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(p=log_probability, nodes=chain_nodes, rate=st.floats(min_value=1.0, max_value=1e4))
+    def test_rises_with_nodes_and_is_at_least_one_link(self, p, nodes, rate):
+        latency = chain_latency(nodes, LinkBudget(), rate, p)
+        longer = chain_latency(nodes + 1, LinkBudget(), rate, p)
+        assert math.isfinite(latency)
+        assert longer > latency if p <= 0.5 else longer >= latency
+        assert latency * rate >= (1.0 / p) * (1.0 - 1e-12)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        p=st.floats(min_value=-17.0, max_value=-6.0).map(lambda e: 10.0**e),
+        nodes=chain_nodes,
+        rate=st.floats(min_value=1.0, max_value=1e4),
+    )
+    def test_tends_to_harmonic_number_over_p(self, p, nodes, rate):
+        # E[max] = H_n / p + O(H_n) as p -> 0
+        scaled = p * chain_latency(nodes, LinkBudget(), rate, p) * rate
+        assert abs(scaled - harmonic(nodes - 1)) <= (p + 1e-12) * harmonic(nodes - 1)
+
+    @pytest.mark.parametrize("nodes", [999, 1000, 1001, 10**6])
+    def test_long_chains_tend_to_harmonic_number_over_p(self, nodes):
+        p = 1e-12
+        scaled = p * chain_latency(nodes, LinkBudget(), 1.0, p)
+        assert scaled == pytest.approx(harmonic(nodes - 1), rel=1e-11)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e), nodes=chain_nodes)
+    def test_matches_the_tail_sum_series(self, p, nodes):
+        # The series is affordable for p >= 1e-4: at most about 5e5 terms.
+        latency = chain_latency(nodes, LinkBudget(), attempt_rate=1.0, per_attempt_success=p)
+        assert latency == pytest.approx(tail_sum_attempts(nodes - 1, p), rel=1e-9)
+
+    def test_cli_runs_at_tiny_link_success(self, capsys):
+        assert main(["swap", "--trials", "100", "--link-success", "1e-17"]) == 0
+        latency = json.loads(capsys.readouterr().out)["results"]["chain"]["expected_latency_s"]
+        assert latency == pytest.approx(1e17 / 8.3e3, rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             chain_latency(1, LinkBudget(), 1.0, 0.5)
@@ -343,3 +409,5 @@ class TestChainLatency:
             chain_latency(2, LinkBudget(), 1.0, 0.0)
         with pytest.raises(ValueError):
             chain_latency(2, LinkBudget(coupling_efficiency=0.0), 1.0, 0.5)
+        with pytest.raises(ValueError, match="overflows"):
+            chain_latency(3, LinkBudget(), 1.0, 1e-320)

@@ -28,12 +28,14 @@ from bellsim.protocol import (
     simulate_attempts,
     single_pulse_probability,
     two_pulse_probability,
+    _apply_pulses,
 )
 from bellsim.states import (
     DensityMatrix,
     MeasurementSetting,
     bell_pair_ideal,
     outcome_probabilities,
+    rotation_matrix,
 )
 
 angle = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -145,6 +147,36 @@ class TestPulseSequence:
         seq = PulseSequence(SINGLE_PULSE, math.pi / 2, rotation_phase=0.0)
         setting = seq.effective_setting(arrival_time=1.0 / (4.0 * seq.microwave_frequency))
         assert setting.phi == pytest.approx(math.pi / 2, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        theta=angle,
+        phi=angle,
+        frequency=st.floats(min_value=1e6, max_value=2e10),
+        density=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_single_pulse_batch_matches_per_event_rotation(
+        self, theta, phi, frequency, density, seed
+    ):
+        # Per event: U_t = D U D^dagger with D = diag(1, e^{2 pi i f t}).
+        rng = np.random.default_rng(seed)
+        n = 12
+        arrival = rng.uniform(0.0, 50e-9, n)
+        amplitudes = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        if density:
+            states = amplitudes @ np.conj(np.swapaxes(amplitudes, 1, 2))
+            states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
+        else:
+            states = amplitudes[:, 0] / np.linalg.norm(amplitudes[:, 0], axis=1, keepdims=True)
+        seq = PulseSequence(SINGLE_PULSE, theta, phi, microwave_frequency=frequency)
+        u = rotation_matrix(MeasurementSetting(theta, phi))
+        expected = []
+        for state, t in zip(states, arrival):
+            d = np.diag([1.0, np.exp(2j * math.pi * frequency * t)])
+            u_t = d @ u @ d.conj().T
+            expected.append(u_t @ state @ u_t.conj().T if density else u_t @ state)
+        np.testing.assert_allclose(_apply_pulses(states, seq, arrival), expected, rtol=0, atol=1e-12)
 
     def test_single_pulse_washout(self):
         # uniform arrivals across a 50 ns window at 14.5 GHz erase the contrast
@@ -259,6 +291,27 @@ class TestRunTrial:
         assert event.setting_s.theta == pytest.approx(math.pi / 2)
         assert event.setting_p.theta == pytest.approx(math.pi / 4)
         assert not event.pmt_role_swapped
+
+    def test_returns_its_attempt_index(self):
+        source = SourceParams(excitation_probability=1.0, collection_efficiency=1.0,
+                              detector_quantum_efficiency=1.0)
+        pulse = PulseSequence(SINGLE_PULSE, 0.4)
+        rng = np.random.default_rng(29)
+        for index in (0, 3, 10**12):
+            event = run_trial(source, pulse, MeasurementSetting(0.2), DetectorParams(), rng,
+                              attempt_index=index)
+            assert event.attempt_index == index
+
+    def test_event_record_is_an_immutable_hashable_record(self):
+        event = EventRecord(4, 1e-8, MeasurementSetting(0.1), MeasurementSetting(0.2), 1, 0, True)
+        with pytest.raises(AttributeError):
+            event.atom_outcome = 1
+        assert hash(event) == hash(event._replace(atom_outcome=0))
+        assert len({event, event._replace(atom_outcome=1)}) == 2
+        assert EventRecord._fields == (
+            "attempt_index", "arrival_time", "setting_s", "setting_p",
+            "photon_outcome", "atom_outcome", "pmt_role_swapped",
+        )
 
     def test_seeded_runs_are_identical(self):
         source = SourceParams()
