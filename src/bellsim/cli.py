@@ -22,7 +22,7 @@ import io
 import json
 import math
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .bounds import (
 )
 from .harness import SettingsPlan, reference_bell_results, run_experiment
 from .network import (
-    BSA_FAIL,
     PSI_MINUS,
     PSI_PLUS,
     GeometryConfig,
@@ -51,6 +50,7 @@ from .network import (
     photon_midpoint_distance,
     photon_survival,
     swap_conditional_states,
+    swap_outcome_probabilities,
 )
 from .protocol import DetectorParams, SourceParams
 from .states import BellAngles, bell_pair_ideal, chsh_operator, fidelity, werner
@@ -63,66 +63,99 @@ class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad type, out-of-range or missing value."""
 
 
-# Allowed values of a numeric key: (description, test).  NaN and infinite
-# values are rejected for every key that has one.
+# Allowed values of a key: (description, test).  NaN and infinite values are
+# rejected for every numeric key that has one.
 _Allowed = tuple[str, Callable[[Any], bool]]
 _UNIT: _Allowed = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 _NON_NEGATIVE: _Allowed = ("finite and >= 0", lambda v: v >= 0.0)
 _POSITIVE: _Allowed = ("finite and > 0", lambda v: v > 0.0)
 _FINITE: _Allowed = ("finite", lambda v: True)
 
-# Per-command configuration schema: key -> (json type, default, allowed values).
-# ``None`` defaults mark required or optional-by-absence keys.
-_COMMON_SCHEMA: dict[str, tuple[type, Any, _Allowed | None]] = {
-    "seed": (int, DEFAULT_SEED, (">= 0", lambda v: v >= 0)),
-    "format": (str, "json", None),
-    "output": (str, None, None),
+
+class _Key(NamedTuple):
+    """One configuration key: its JSON type, default, allowed values and flag.
+
+    A ``None`` default marks a required or optional-by-absence key; a
+    ``None`` flag marks a key that only a config file can set.
+    """
+
+    type: type
+    default: Any
+    allowed: _Allowed | None = None
+    flag: str | None = None
+    help: str | None = None
+
+
+_COMMON_SCHEMA = {
+    "seed": _Key(
+        int, DEFAULT_SEED, (">= 0", lambda v: v >= 0), "--seed", "random seed (echoed in output)"
+    ),
+    "format": _Key(str, "json", ("'csv' or 'json'", lambda v: v in ("csv", "json")), "--format"),
+    "output": _Key(str, None, None, "--output", "output path (default stdout)"),
 }
 
-_SCHEMAS: dict[str, dict[str, tuple[type, Any, _Allowed | None]]] = {
+_FIBER_SCHEMA = {
+    "attenuation": _Key(float, 0.2, _NON_NEGATIVE, "--attenuation", "dB/km"),
+    "coupling": _Key(float, 1.0, _UNIT, "--coupling"),
+}
+
+# Per-command configuration schema: the only place a key or its flag is declared.
+_SCHEMAS: dict[str, dict[str, _Key]] = {
     "chsh": {
         **_COMMON_SCHEMA,
-        "events_per_setting": (int, 2000, (">= 2", lambda v: v >= 2)),
-        "werner_p": (float, 1.0, _UNIT),
-        "pmt_efficiency_1": (float, 1.0, _UNIT),
-        "pmt_efficiency_2": (float, 1.0, _UNIT),
-        "atom_bright_error": (float, 0.0, _UNIT),
-        "atom_dark_error": (float, 0.0, _UNIT),
-        "dark_event_probability": (float, 0.0, _UNIT),
-        "table1_fixture": (bool, False, None),
+        "events_per_setting": _Key(int, 2000, (">= 2", lambda v: v >= 2), "--events"),
+        "werner_p": _Key(float, 1.0, _UNIT, "--werner-p"),
+        "pmt_efficiency_1": _Key(float, 1.0, _UNIT, "--pmt-eff1"),
+        "pmt_efficiency_2": _Key(float, 1.0, _UNIT, "--pmt-eff2"),
+        "atom_bright_error": _Key(float, 0.0, _UNIT, "--bright-error"),
+        "atom_dark_error": _Key(float, 0.0, _UNIT, "--dark-error"),
+        "dark_event_probability": _Key(
+            float, 0.0, _UNIT, "--dark-rate",
+            "per-attempt probability of a spurious heralding click",
+        ),
+        "table1_fixture": _Key(
+            bool, False, None, "--table1-fixture",
+            "recompute both Bell signals from the published reference correlations",
+        ),
     },
     "bounds": {
         **_COMMON_SCHEMA,
-        "fidelity": (float, None, _UNIT),
-        "angles_pi": (list, [0.0, 0.5, 0.25, 0.75], _FINITE),
+        "fidelity": _Key(float, None, _UNIT, "--fidelity"),
+        "angles_pi": _Key(
+            list, [0.0, 0.5, 0.25, 0.75], _FINITE, "--angles",
+            "four analysis angles in units of pi, e.g. 0,0.5,0.25,0.75",
+        ),
     },
     "lhv": {
         **_COMMON_SCHEMA,
-        "grid": (int, 64, (f"in [8, {_MAX_GRID}]", lambda v: 8 <= v <= _MAX_GRID)),
+        "grid": _Key(
+            int, 64, (f"in [8, {_MAX_GRID}]", lambda v: 8 <= v <= _MAX_GRID), "--grid",
+            "scan resolution per angle",
+        ),
     },
     "loopholes": {
         **_COMMON_SCHEMA,
-        "separation": (float, 1.1, _NON_NEGATIVE),
-        "detection_time": (float, 125e-6, _NON_NEGATIVE),
-        "rotation_time": (float, 0.0, _NON_NEGATIVE),
-        "attenuation": (float, 0.2, _NON_NEGATIVE),
-        "coupling": (float, 1.0, _UNIT),
-        "attenuation_sweep": (list, [0.2, 1.0, 5.0, 10.0], _NON_NEGATIVE),
-        "detection_efficiencies": (list, [0.10, 0.01, 0.20], _UNIT),
-        "efficiency_threshold": (float, None, None),
-        "feasibility_grid": (bool, False, None),
+        "separation": _Key(float, 1.1, _NON_NEGATIVE, "--separation", "meters"),
+        "detection_time": _Key(float, 125e-6, _NON_NEGATIVE, "--detection-time"),
+        "rotation_time": _Key(float, 0.0, _NON_NEGATIVE, "--rotation-time"),
+        **_FIBER_SCHEMA,
+        "attenuation_sweep": _Key(list, [0.2, 1.0, 5.0, 10.0], _NON_NEGATIVE),
+        "detection_efficiencies": _Key(list, [0.10, 0.01, 0.20], _UNIT),
+        "efficiency_threshold": _Key(float, None, _UNIT, "--threshold"),
+        "feasibility_grid": _Key(bool, False, None, "--feasibility-grid"),
     },
     "swap": {
         **_COMMON_SCHEMA,
-        "trials": (int, 100000, (">= 1", lambda v: v >= 1)),
-        "werner_p_a": (float, 1.0, _UNIT),
-        "werner_p_b": (float, 1.0, _UNIT),
-        "nodes": (int, 2, (">= 2", lambda v: v >= 2)),
-        "attempt_rate": (float, 8.3e3, _POSITIVE),
-        "link_success": (float, 2.0e-4, ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
-        "fiber_length": (float, 0.0, _NON_NEGATIVE),
-        "attenuation": (float, 0.2, _NON_NEGATIVE),
-        "coupling": (float, 1.0, _UNIT),
+        "trials": _Key(int, 100000, (">= 1", lambda v: v >= 1), "--trials"),
+        "werner_p_a": _Key(float, 1.0, _UNIT, "--werner-p-a"),
+        "werner_p_b": _Key(float, 1.0, _UNIT, "--werner-p-b"),
+        "nodes": _Key(int, 2, (">= 2", lambda v: v >= 2), "--nodes"),
+        "attempt_rate": _Key(float, 8.3e3, _POSITIVE, "--attempt-rate"),
+        "link_success": _Key(
+            float, 2.0e-4, ("in (0, 1]", lambda v: 0.0 < v <= 1.0), "--link-success"
+        ),
+        "fiber_length": _Key(float, 0.0, _NON_NEGATIVE, "--fiber-length"),
+        **_FIBER_SCHEMA,
     },
 }
 
@@ -161,21 +194,23 @@ def resolve_config(
     unknown = sorted(set(file_values) - set(schema))
     if unknown:
         raise ConfigError(f"{command}: unknown configuration keys {unknown}")
-    config = {key: default for key, (_, default, _) in schema.items()}
+    config = {key: spec.default for key, spec in schema.items()}
     for key, value in file_values.items():
-        config[key] = _check_type(command, key, value, schema[key][0])
+        config[key] = _check_type(command, key, value, schema[key].type)
     for key, value in flag_values.items():
         if value is None:
             continue
-        config[key] = _check_type(command, key, value, schema[key][0])
-    if config["format"] not in ("csv", "json"):
-        raise ConfigError(f"{command}: format must be 'csv' or 'json', got {config['format']!r}")
-    for key, (_, _, allowed) in schema.items():
-        if allowed is None or config[key] is None:
+        config[key] = _check_type(command, key, value, schema[key].type)
+    for key, spec in schema.items():
+        # Only a key whose default is None may be left unset.
+        if spec.allowed is None or (config[key] is None and spec.default is None):
             continue
         for value in config[key] if isinstance(config[key], list) else [config[key]]:
-            if not (allowed[1](value) and abs(value) < math.inf):
-                raise ConfigError(f"{command}: key {key!r} must be {allowed[0]}, got {value!r}")
+            finite = not isinstance(value, (int, float)) or abs(value) < math.inf
+            if not (finite and spec.allowed[1](value)):
+                raise ConfigError(
+                    f"{command}: key {key!r} must be {spec.allowed[0]}, got {value!r}"
+                )
     return config
 
 
@@ -232,8 +267,23 @@ def _render_csv(report: dict[str, Any], columns: list[str], rows: list[list[Any]
     return buffer.getvalue()
 
 
-def _render_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, indent=2) + "\n"
+def _leaves(node: Any, path: tuple[str, ...]):
+    """(path, value) for each non-null leaf of a report's nested dicts and lists."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, (*path, str(key)))
+    elif node is not None:
+        yield path, node
+
+
+def _flat_csv(report: dict[str, Any]) -> str:
+    """One ``record,key,value`` row per leaf: record is the top-level key of
+    ``results`` and key the rest of the path joined by dots."""
+    rows = [
+        [path[0], ".".join(path[1:]), int(value) if isinstance(value, bool) else value]
+        for path, value in _leaves(report["results"], ())
+    ]
+    return _render_csv(report, ["record", "key", "value"], rows)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -267,6 +317,7 @@ def _bell_result_dict(result) -> dict[str, Any]:
 
 
 def cmd_chsh(config: dict[str, Any]) -> dict[str, Any]:
+    """run both four-correlation Bell measurements"""
     report = _report_skeleton("chsh", config)
     if config["table1_fixture"]:
         first, second = reference_bell_results()
@@ -316,6 +367,7 @@ def _chsh_csv(report: dict[str, Any]) -> str:
 
 
 def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
+    """fidelity-constrained Bell-signal window"""
     if config["fidelity"] is None:
         raise ConfigError("bounds: a fidelity value is required (--fidelity or config)")
     f = config["fidelity"]
@@ -358,24 +410,12 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
     return report
 
 
-def _bounds_csv(report: dict[str, Any]) -> str:
-    results = report["results"]
-    rows = [["fidelity", "", results["fidelity"]]]
-    for section in ("closed_form", "numeric"):
-        for key, value in results[section].items():
-            rows.append([section, key, float(value) if not isinstance(value, bool) else int(value)])
-    for section in ("witness_min", "witness_max"):
-        rows.append([section, "fidelity", results[section]["fidelity"]])
-        for index, value in enumerate(results[section]["eigenvalues"]):
-            rows.append([section, f"eigenvalue_{index}", value])
-    return _render_csv(report, ["record", "key", "value"], rows)
-
-
 # ---------------------------------------------------------------------------
 # lhv
 
 
 def cmd_lhv(config: dict[str, Any]) -> dict[str, Any]:
+    """deterministic local strategies and angle scan"""
     report = _report_skeleton("lhv", config)
     table = enumerate_strategies()
     best, _ = lhv_enumerate()
@@ -419,6 +459,7 @@ def _lhv_csv(report: dict[str, Any]) -> str:
 
 
 def cmd_loopholes(config: dict[str, Any]) -> dict[str, Any]:
+    """light-cone and fiber budget arithmetic"""
     geometry = GeometryConfig(
         atom_to_analysis_distance=config["separation"],
         atom_measurement_time=config["detection_time"],
@@ -475,48 +516,19 @@ def cmd_loopholes(config: dict[str, Any]) -> dict[str, Any]:
     return report
 
 
-def _loopholes_csv(report: dict[str, Any]) -> str:
-    results = report["results"]
-    rows = []
-    locality = results["locality"]
-    for key in ("separation_m", "total_measurement_time_s", "required_separation_m"):
-        rows.append(["locality", key, locality[key]])
-    rows.append(["locality", "closed", int(locality["closed"])])
-    rows.append(["midpoint", "distance_m", results["midpoint_distance_m"]])
-    budget = results["detection_budget"]
-    rows.append(["detection", "efficiency", budget["efficiency"]])
-    if budget["threshold"] is not None:
-        rows.append(["detection", "threshold", budget["threshold"]])
-        rows.append(["detection", "passes", int(budget["passes"])])
-    for entry in results["survival_sweep"]:
-        rows.append(
-            ["survival", _fmt(entry["attenuation_db_per_km"]) + "_db_per_km", entry["survival"]]
-        )
-    for entry in results.get("feasibility_grid", []):
-        for sep, closed in entry["closed_at_km"].items():
-            rows.append(
-                [
-                    "feasibility",
-                    f"{entry['detection_time_us']:g}us_{sep}km",
-                    int(closed),
-                ]
-            )
-    return _render_csv(report, ["record", "key", "value"], rows)
-
-
 # ---------------------------------------------------------------------------
 # swap
 
 
 def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
+    """two-pair entanglement swap and chain latency"""
     pair_a = bell_pair_ideal() if config["werner_p_a"] == 1.0 else werner(config["werner_p_a"])
     pair_b = bell_pair_ideal() if config["werner_p_b"] == 1.0 else werner(config["werner_p_b"])
-    conditionals = swap_conditional_states(pair_a, pair_b)
-    p_plus = conditionals[PSI_PLUS][0]
-    p_minus = conditionals[PSI_MINUS][0]
-    probabilities = [p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus)]
+    probabilities = swap_outcome_probabilities(pair_a, pair_b)
     rng = np.random.default_rng(config["seed"])
-    counts = rng.multinomial(config["trials"], probabilities)
+    draws = rng.multinomial(config["trials"], list(probabilities.values()))
+    counts = {outcome: int(n) for outcome, n in zip(probabilities, draws)}
+    conditionals = swap_conditional_states(pair_a, pair_b)
     heralded = {}
     for outcome in (PSI_PLUS, PSI_MINUS):
         probability, state = conditionals[outcome]
@@ -538,12 +550,8 @@ def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
     report = _report_skeleton("swap", config)
     report["results"] = {
         "trials": config["trials"],
-        "outcome_counts": {
-            PSI_PLUS: int(counts[0]),
-            PSI_MINUS: int(counts[1]),
-            BSA_FAIL: int(counts[2]),
-        },
-        "success_rate": float((counts[0] + counts[1]) / config["trials"]),
+        "outcome_counts": counts,
+        "success_rate": (counts[PSI_PLUS] + counts[PSI_MINUS]) / config["trials"],
         "heralded": heralded,
         "chain": {
             "nodes": config["nodes"],
@@ -554,30 +562,11 @@ def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
     return report
 
 
-def _swap_csv(report: dict[str, Any]) -> str:
-    results = report["results"]
-    rows = [["trials", "", float(results["trials"])]]
-    for outcome, count in results["outcome_counts"].items():
-        rows.append(["outcome_count", outcome, float(count)])
-    rows.append(["success_rate", "", results["success_rate"]])
-    for outcome, entry in results["heralded"].items():
-        for key, value in entry.items():
-            rows.append(["heralded_" + outcome, key, value])
-    rows.append(["chain", "nodes", float(results["chain"]["nodes"])])
-    rows.append(["chain", "expected_latency_s", results["chain"]["expected_latency_s"]])
-    return _render_csv(report, ["record", "key", "value"], rows)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-_CSV_RENDERERS: dict[str, Callable[[dict[str, Any]], str]] = {
-    "chsh": _chsh_csv,
-    "bounds": _bounds_csv,
-    "lhv": _lhv_csv,
-    "loopholes": _loopholes_csv,
-    "swap": _swap_csv,
-}
+# The wide tables; every other command renders through _flat_csv.
+_CSV_RENDERERS: dict[str, Callable[[dict[str, Any]], str]] = {"chsh": _chsh_csv, "lhv": _lhv_csv}
 
 _RUNNERS: dict[str, Callable[[dict[str, Any]], dict[str, Any]]] = {
     "chsh": cmd_chsh,
@@ -588,87 +577,6 @@ _RUNNERS: dict[str, Callable[[dict[str, Any]], dict[str, Any]]] = {
 }
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="random seed (echoed in output)")
-    parser.add_argument("--config", type=str, default=None, help="strict JSON config file")
-    parser.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-    parser.add_argument("--output", type=str, default=None, help="output path (default stdout)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=TOOL_NAME,
-        description="Atom-photon CHSH Bell-inequality simulator and analysis toolkit",
-    )
-    parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    chsh = commands.add_parser("chsh", help="run both four-correlation Bell measurements")
-    _add_common_flags(chsh)
-    chsh.add_argument("--events", dest="events_per_setting", type=int, default=None)
-    chsh.add_argument("--werner-p", dest="werner_p", type=float, default=None)
-    chsh.add_argument("--pmt-eff1", dest="pmt_efficiency_1", type=float, default=None)
-    chsh.add_argument("--pmt-eff2", dest="pmt_efficiency_2", type=float, default=None)
-    chsh.add_argument("--bright-error", dest="atom_bright_error", type=float, default=None)
-    chsh.add_argument("--dark-error", dest="atom_dark_error", type=float, default=None)
-    chsh.add_argument(
-        "--dark-rate", dest="dark_event_probability", type=float, default=None,
-        help="per-attempt probability of a spurious heralding click",
-    )
-    chsh.add_argument(
-        "--table1-fixture",
-        dest="table1_fixture",
-        action="store_const",
-        const=True,
-        default=None,
-        help="recompute both Bell signals from the published reference correlations",
-    )
-
-    bounds = commands.add_parser("bounds", help="fidelity-constrained Bell-signal window")
-    _add_common_flags(bounds)
-    bounds.add_argument("--fidelity", type=float, default=None)
-    bounds.add_argument(
-        "--angles",
-        dest="angles_pi",
-        type=_angles_argument,
-        default=None,
-        help="four analysis angles in units of pi, e.g. 0,0.5,0.25,0.75",
-    )
-
-    lhv = commands.add_parser("lhv", help="deterministic local strategies and angle scan")
-    _add_common_flags(lhv)
-    lhv.add_argument("--grid", type=int, default=None, help="scan resolution per angle")
-
-    loopholes = commands.add_parser("loopholes", help="light-cone and fiber budget arithmetic")
-    _add_common_flags(loopholes)
-    loopholes.add_argument("--separation", type=float, default=None, help="meters")
-    loopholes.add_argument("--detection-time", dest="detection_time", type=float, default=None)
-    loopholes.add_argument("--rotation-time", dest="rotation_time", type=float, default=None)
-    loopholes.add_argument("--attenuation", type=float, default=None, help="dB/km")
-    loopholes.add_argument("--coupling", type=float, default=None)
-    loopholes.add_argument("--threshold", dest="efficiency_threshold", type=float, default=None)
-    loopholes.add_argument(
-        "--feasibility-grid",
-        dest="feasibility_grid",
-        action="store_const",
-        const=True,
-        default=None,
-    )
-
-    swap = commands.add_parser("swap", help="two-pair entanglement swap and chain latency")
-    _add_common_flags(swap)
-    swap.add_argument("--trials", type=int, default=None)
-    swap.add_argument("--werner-p-a", dest="werner_p_a", type=float, default=None)
-    swap.add_argument("--werner-p-b", dest="werner_p_b", type=float, default=None)
-    swap.add_argument("--nodes", type=int, default=None)
-    swap.add_argument("--attempt-rate", dest="attempt_rate", type=float, default=None)
-    swap.add_argument("--link-success", dest="link_success", type=float, default=None)
-    swap.add_argument("--fiber-length", dest="fiber_length", type=float, default=None)
-    swap.add_argument("--attenuation", type=float, default=None)
-    swap.add_argument("--coupling", type=float, default=None)
-    return parser
-
-
 def _angles_argument(text: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",")]
@@ -677,12 +585,39 @@ def _angles_argument(text: str) -> list[float]:
     return values
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, one flag per schema key that has one."""
+    parser = argparse.ArgumentParser(
+        prog=TOOL_NAME,
+        description="Atom-photon CHSH Bell-inequality simulator and analysis toolkit",
+    )
+    parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, runner in _RUNNERS.items():
+        sub = commands.add_parser(command, help=runner.__doc__)
+        sub.add_argument("--config", help="strict JSON config file")
+        for key, spec in _SCHEMAS[command].items():
+            if spec.flag is None:
+                continue
+            text = "; ".join(filter(None, (spec.help, spec.allowed and spec.allowed[0])))
+            if spec.type is bool:
+                sub.add_argument(spec.flag, dest=key, action="store_const", const=True, help=text)
+            else:
+                kind = _angles_argument if spec.type is list else spec.type
+                sub.add_argument(spec.flag, dest=key, type=kind, help=text)
+    return parser
+
+
 def run_command(command: str, config: dict[str, Any]) -> str:
     """Execute a command and render its report in the configured format."""
     report = _RUNNERS[command](config)
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{command}: the report holds a non-finite number ({exc})") from None
     if config["format"] == "json":
-        return _render_json(report)
-    return _CSV_RENDERERS[command](report)
+        return text
+    return _CSV_RENDERERS.get(command, _flat_csv)(report)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,5 +1,7 @@
 """Tests of the command-line interface: config handling, formats, exit codes."""
 
+import argparse
+import csv
 import json
 import math
 import subprocess
@@ -7,7 +9,7 @@ import sys
 
 import pytest
 
-from bellsim.cli import ConfigError, main, resolve_config
+from bellsim.cli import _SCHEMAS, ConfigError, _fmt, build_parser, main, resolve_config
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +45,8 @@ class TestConfigResolution:
     def test_bad_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
             resolve_config("lhv", {"format": "xml"}, {})
+        with pytest.raises(ConfigError, match="format"):
+            resolve_config("lhv", {"format": None}, {})
 
 
 class TestChshCommand:
@@ -289,6 +293,10 @@ class TestConfigFileHandling:
             (["swap", "--seed", "-1"], "seed"),
             (["loopholes", "--seed", "-1"], "seed"),
             (["bounds", "--fidelity", "0.87", "--seed", "-1"], "seed"),
+            (["loopholes", "--threshold", "nan"], "efficiency_threshold"),
+            (["loopholes", "--threshold", "inf"], "efficiency_threshold"),
+            (["loopholes", "--threshold", "1.5"], "efficiency_threshold"),
+            (["loopholes", "--format", "xml"], "format"),
         ],
     )
     def test_bad_value_exits_2_naming_the_key(self, capsys, argv, key):
@@ -296,6 +304,104 @@ class TestConfigFileHandling:
         assert code == 2
         assert out == ""
         assert key in err
+
+
+# Today's flags of each command and the config key each one sets.
+_COMMON_FLAGS = {
+    "-h": "help", "--help": "help", "--config": "config",
+    "--seed": "seed", "--format": "format", "--output": "output",
+}
+_COMMAND_FLAGS = {
+    "chsh": {
+        "--events": "events_per_setting",
+        "--werner-p": "werner_p",
+        "--pmt-eff1": "pmt_efficiency_1",
+        "--pmt-eff2": "pmt_efficiency_2",
+        "--bright-error": "atom_bright_error",
+        "--dark-error": "atom_dark_error",
+        "--dark-rate": "dark_event_probability",
+        "--table1-fixture": "table1_fixture",
+    },
+    "bounds": {"--fidelity": "fidelity", "--angles": "angles_pi"},
+    "lhv": {"--grid": "grid"},
+    "loopholes": {
+        "--separation": "separation",
+        "--detection-time": "detection_time",
+        "--rotation-time": "rotation_time",
+        "--attenuation": "attenuation",
+        "--coupling": "coupling",
+        "--threshold": "efficiency_threshold",
+        "--feasibility-grid": "feasibility_grid",
+    },
+    "swap": {
+        "--trials": "trials",
+        "--werner-p-a": "werner_p_a",
+        "--werner-p-b": "werner_p_b",
+        "--nodes": "nodes",
+        "--attempt-rate": "attempt_rate",
+        "--link-success": "link_success",
+        "--fiber-length": "fiber_length",
+        "--attenuation": "attenuation",
+        "--coupling": "coupling",
+    },
+}
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+    def test_flags_and_the_keys_they_set(self, command):
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = subparsers.choices[command]._actions
+        surface = {flag: action.dest for action in actions for flag in action.option_strings}
+        assert surface == {**_COMMON_FLAGS, **_COMMAND_FLAGS[command]}
+        for action in actions:
+            if action.dest in ("help", "config"):
+                continue
+            assert action.dest in _SCHEMAS[command]
+            value = [] if action.nargs == 0 else ["3"]
+            namespace = parser.parse_args([command, action.option_strings[0], *value])
+            assert getattr(namespace, action.dest) is not None
+
+
+def _json_leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_leaves(value, (*path, key))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _json_leaves(value, (*path, str(index)))
+    elif node is not None:
+        yield path, node
+
+
+class TestFlatCsv:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--fidelity", "0.87"],
+            ["bounds", "--fidelity", "0.87", "--angles", "0.1,0.4,0.15,0.9"],
+            ["loopholes", "--feasibility-grid", "--threshold", "0.5"],
+            ["swap", "--nodes", "3"],
+            ["swap", "--trials", "2000000"],
+        ],
+    )
+    def test_flat_csv_holds_every_json_leaf(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        expected = {}
+        for path, value in _json_leaves(json.loads(out)["results"]):
+            # Bools as 0/1 and integers in full; floats to six significant digits.
+            text = str(int(value)) if isinstance(value, int) else _fmt(value)
+            expected[(path[0], ".".join(path[1:]))] = text
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        body = [line for line in out.splitlines() if not line.startswith("#")]
+        rows = list(csv.DictReader(body))
+        assert list(rows[0]) == ["record", "key", "value"]
+        got = {(row["record"], row["key"]): row["value"] for row in rows}
+        assert len(got) == len(rows)
+        assert got == expected
 
 
 class TestReproducibility:
@@ -345,6 +451,15 @@ class TestColdStart:
 
 
 class TestRuntimeFailures:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_report_exits_1(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "loopholes", "--detection-time", "1e300", "--format", fmt
+        )
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
+
     def test_unwritable_output_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "lhv", "--grid", "8", "--output", str(tmp_path))
         assert code == 1
