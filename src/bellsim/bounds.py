@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _MAX_GRID
 from .states import (
     BellAngles,
     DensityMatrix,
@@ -34,9 +35,6 @@ from .states import (
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 LHV_BOUND = 2.0
-# Finest tsirelson_scan grid: its work arrays hold (N + 1)^2 floats (34 MB each
-# at N = 2048), and its cost grows as N^3 (0.8 s at N = 512 on 2 x86 cores).
-_MAX_GRID = 2048
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,8 @@ def _max_expectation(
                 hi = mid
         x = unit / (hi + spread)
         dual += k * (hi + float(np.sum(np.abs(unit) ** 2 / (hi + spread))))
-    phase = x[-1] / abs(x[-1]) if x[-1] else 1.0
+    # x / |x| is NaN once |x| nears 1e-300; exp(i arg x) is a unit phase there and 1 at 0.
+    phase = np.exp(1j * np.angle(x[-1]))
     x[-1] = phase * math.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(x[:-1]) ** 2))))
     v = math.sqrt(f) * target + math.sqrt(1.0 - f) * (basis @ x)
     value = float(np.real(np.vdot(v, w @ v)))

@@ -12,6 +12,8 @@ are rejected.  Every report embeds the tool version, the seed, and the
 fully resolved configuration, and identical (seed, config) runs produce
 byte-identical output.  Angles are given in units of pi (0.25 means
 pi/4).  Exit codes: 0 success, 1 runtime failure, 2 configuration error.
+
+Each command imports only the layers it runs, in its ``cmd_<command>`` body.
 """
 
 from __future__ import annotations
@@ -26,33 +28,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import __version__
-from .bounds import (
-    _MAX_GRID,
-    FidelityConstraint,
-    enumerate_strategies,
-    extremal_bell_closed_form,
-    extremal_bell_numeric,
-    lhv_enumerate,
-    tsirelson_scan,
-)
-from .harness import SettingsPlan, reference_bell_results, run_experiment
-from .network import (
-    PSI_MINUS,
-    PSI_PLUS,
-    GeometryConfig,
-    LinkBudget,
-    adapted_bell_angles,
-    chain_latency,
-    detection_accounting,
-    heralded_ion_state,
-    locality_check,
-    photon_midpoint_distance,
-    photon_survival,
-    swap_conditional_states,
-    swap_outcome_probabilities,
-)
-from .protocol import DetectorParams, SourceParams
+from . import _MAX_GRID, __version__
 from .states import BellAngles, bell_pair_ideal, chsh_operator, fidelity, werner
 
 DEFAULT_SEED = 12345
@@ -318,6 +294,9 @@ def _bell_result_dict(result) -> dict[str, Any]:
 
 def cmd_chsh(config: dict[str, Any]) -> dict[str, Any]:
     """run both four-correlation Bell measurements"""
+    from .harness import SettingsPlan, reference_bell_results, run_experiment
+    from .protocol import DetectorParams, SourceParams
+
     report = _report_skeleton("chsh", config)
     if config["table1_fixture"]:
         first, second = reference_bell_results()
@@ -368,6 +347,8 @@ def _chsh_csv(report: dict[str, Any]) -> str:
 
 def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
     """fidelity-constrained Bell-signal window"""
+    from .bounds import FidelityConstraint, extremal_bell_closed_form, extremal_bell_numeric
+
     if config["fidelity"] is None:
         raise ConfigError("bounds: a fidelity value is required (--fidelity or config)")
     f = config["fidelity"]
@@ -416,6 +397,8 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
 
 def cmd_lhv(config: dict[str, Any]) -> dict[str, Any]:
     """deterministic local strategies and angle scan"""
+    from .bounds import enumerate_strategies, lhv_enumerate, tsirelson_scan
+
     report = _report_skeleton("lhv", config)
     table = enumerate_strategies()
     best, _ = lhv_enumerate()
@@ -460,6 +443,9 @@ def _lhv_csv(report: dict[str, Any]) -> str:
 
 def cmd_loopholes(config: dict[str, Any]) -> dict[str, Any]:
     """light-cone and fiber budget arithmetic"""
+    from .network import GeometryConfig, LinkBudget, detection_accounting, locality_check
+    from .network import photon_midpoint_distance, photon_survival
+
     geometry = GeometryConfig(
         atom_to_analysis_distance=config["separation"],
         atom_measurement_time=config["detection_time"],
@@ -522,13 +508,16 @@ def cmd_loopholes(config: dict[str, Any]) -> dict[str, Any]:
 
 def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
     """two-pair entanglement swap and chain latency"""
+    from .network import PSI_MINUS, PSI_PLUS, LinkBudget, _outcome_probabilities, chain_latency
+    from .network import adapted_bell_angles, heralded_ion_state, swap_conditional_states
+
     pair_a = bell_pair_ideal() if config["werner_p_a"] == 1.0 else werner(config["werner_p_a"])
     pair_b = bell_pair_ideal() if config["werner_p_b"] == 1.0 else werner(config["werner_p_b"])
-    probabilities = swap_outcome_probabilities(pair_a, pair_b)
+    conditionals = swap_conditional_states(pair_a, pair_b)
+    probabilities = _outcome_probabilities(conditionals)
     rng = np.random.default_rng(config["seed"])
     draws = rng.multinomial(config["trials"], list(probabilities.values()))
     counts = {outcome: int(n) for outcome, n in zip(probabilities, draws)}
-    conditionals = swap_conditional_states(pair_a, pair_b)
     heralded = {}
     for outcome in (PSI_PLUS, PSI_MINUS):
         probability, state = conditionals[outcome]

@@ -206,7 +206,11 @@ def swap_outcome_probabilities(
     pair_a: TwoQubitState | DensityMatrix, pair_b: TwoQubitState | DensityMatrix
 ) -> dict[str, float]:
     """Heralding probabilities of the analyzer outcomes, including failure."""
-    projections = swap_conditional_states(pair_a, pair_b)
+    return _outcome_probabilities(swap_conditional_states(pair_a, pair_b))
+
+
+def _outcome_probabilities(projections: dict[str, tuple]) -> dict[str, float]:
+    """Outcome probabilities, failure included, from ``swap_conditional_states``."""
     p_plus = projections[PSI_PLUS][0]
     p_minus = projections[PSI_MINUS][0]
     return {PSI_PLUS: p_plus, PSI_MINUS: p_minus, BSA_FAIL: max(0.0, 1.0 - p_plus - p_minus)}

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bellsim.bounds import (
@@ -115,6 +115,7 @@ _SETTINGS = st.builds(
     st.floats(0.0, 2.0 * math.pi),
     st.floats(0.0, 2.0 * math.pi),
 )
+_Z = MeasurementSetting(0.0, 0.0)
 
 
 def _dual_bound(w, projector, f, lambdas):
@@ -150,6 +151,11 @@ class TestDualCertificate:
         b1=_SETTINGS,
         b2=_SETTINGS,
     )
+    # A tiny but nonzero azimuth leaves a subnormal top component, whose phase
+    # x / |x| came out NaN and broke the witness's Hermiticity.
+    @example(f=0.5, a1=_Z, a2=_Z, b1=MeasurementSetting(1.0, 1e-300), b2=_Z)
+    @example(f=0.87, a1=_Z, a2=_Z, b1=MeasurementSetting(1.0, 1e-300), b2=_Z)
+    @example(f=0.5, a1=_Z, a2=_Z, b1=MeasurementSetting(1.0, 2.225073858507e-311), b2=_Z)
     def test_witnesses_and_weak_duality(self, f, a1, a2, b1, b2):
         self._check(f, BellAngles(a1, a2, b1, b2))
 

@@ -438,6 +438,9 @@ class TestReproducibility:
         assert path.read_text() == out
 
 
+_CORE_MODULES = ["bellsim", "bellsim.cli", "bellsim.states"]
+
+
 class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
         probe = (
@@ -448,6 +451,31 @@ class TestColdStart:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
         assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, layers",
+        [
+            (None, []),
+            (["chsh", "--events", "2"], ["bellsim.harness", "bellsim.protocol"]),
+            (["bounds", "--fidelity", "0.87"], ["bellsim.bounds"]),
+            (["lhv", "--grid", "8"], ["bellsim.bounds"]),
+            (["loopholes"], ["bellsim.network"]),
+            (["swap", "--trials", "10"], ["bellsim.network"]),
+        ],
+        ids=["import", "chsh", "bounds", "lhv", "loopholes", "swap"],
+    )
+    def test_each_command_loads_only_its_layers(self, argv, layers):
+        """A cold process loads the CLI core plus the layers its command runs.
+        The report goes to stdout, so the module list goes to stderr."""
+        run = "" if argv is None else f"assert bellsim.cli.main({argv!r}) == 0; "
+        probe = (
+            f"import sys, bellsim.cli; {run}"
+            "print(sorted(m for m in sys.modules if m.startswith('bellsim')), file=sys.stderr)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stderr.strip() == str(sorted(_CORE_MODULES + layers))
 
 
 class TestRuntimeFailures:
