@@ -25,7 +25,6 @@ from . import _MAX_GRID
 from .states import (
     BellAngles,
     DensityMatrix,
-    TwoQubitState,
     bell_pair_ideal,
     bell_signal,
     chsh_operator,
@@ -39,10 +38,9 @@ LHV_BOUND = 2.0
 
 @dataclass(frozen=True)
 class FidelityConstraint:
-    """Target overlap F with a pure state, plus the analysis angles."""
+    """Target overlap F with the ideal pair, plus the analysis angles."""
 
     fidelity: float
-    target: TwoQubitState = field(default_factory=bell_pair_ideal)
     angles: BellAngles = field(default_factory=BellAngles.canonical)
 
     def __post_init__(self) -> None:
@@ -177,14 +175,14 @@ def extremal_bell_numeric(constraint: FidelityConstraint) -> ExtremalResult:
     but flagged out-of-regime.
     """
     operator = chsh_operator(constraint.angles)
-    target = constraint.target.amplitudes
+    target = bell_pair_ideal()
     f = constraint.fidelity
-    max_value, max_rho, max_gap = _max_expectation(operator, target, f)
-    neg_min_value, min_rho, min_gap = _max_expectation(-operator, target, f)
+    max_value, max_rho, max_gap = _max_expectation(operator, target.amplitudes, f)
+    neg_min_value, min_rho, min_gap = _max_expectation(-operator, target.amplitudes, f)
     witness_max = DensityMatrix(0.5 * (max_rho + max_rho.conj().T))
     witness_min = DensityMatrix(0.5 * (min_rho + min_rho.conj().T))
     for witness in (witness_min, witness_max):
-        if abs(fidelity(witness, constraint.target) - f) > 1e-6:
+        if abs(fidelity(witness, target) - f) > 1e-6:
             raise RuntimeError("extremal witness drifted off the fidelity constraint")
     gap = max(max_gap, min_gap)
     return ExtremalResult(
@@ -250,10 +248,3 @@ def tsirelson_scan(grid_resolution: int = 64) -> ScanResult:
             best_quad = (i1, i2, int(b1_idx[i2]), int(b2_idx[i2]))
     quad_thetas = tuple(float(thetas[k]) for k in best_quad)
     return ScanResult(bell_value=best, thetas=quad_thetas)
-
-
-def werner_bell(p: float) -> float:
-    """Canonical-angle Bell signal 2*sqrt(2)*p of the white-noise mixture."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight {p!r} outside [0, 1]")
-    return TSIRELSON_BOUND * p

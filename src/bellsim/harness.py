@@ -8,7 +8,7 @@ the PMT roles reversed by the waveplate, weighting the two runs equally
 so that detector-efficiency asymmetry cancels to first order.
 
 Correlation uncertainties use the multinomial closed form
-sigma_q = sqrt((1 - q^2)/N); a bootstrap cross-check is provided.
+sigma_q = sqrt((1 - q^2)/N).
 """
 
 from __future__ import annotations
@@ -143,19 +143,6 @@ def estimate_correlation(tally: CorrelationTally) -> tuple[float, float]:
     return q, sigma
 
 
-def bootstrap_correlation_sigma(
-    tally: CorrelationTally, rng: np.random.Generator, n_resamples: int = 1000
-) -> float:
-    """Bootstrap cross-check of the multinomial sigma_q."""
-    total = tally.total
-    if total < 1:
-        raise ValueError("cannot bootstrap an empty tally")
-    probabilities = np.array([tally.n00, tally.n01, tally.n10, tally.n11]) / total
-    resampled = rng.multinomial(total, probabilities, size=n_resamples)
-    qs = (resampled[:, 0] + resampled[:, 3] - resampled[:, 1] - resampled[:, 2]) / total
-    return float(qs.std())
-
-
 def combine_swapped_runs(
     tally_normal: CorrelationTally, tally_swapped: CorrelationTally
 ) -> tuple[float, float]:
@@ -181,25 +168,21 @@ def bell_from_correlations(
     q21: tuple[float, float],
     q22: tuple[float, float],
     angles: BellAngles,
-    settings: tuple[tuple[float, float], ...] | None = None,
 ) -> BellResult:
     """Assemble a BellResult from four (q, sigma) estimates.
 
     ``qij`` is the correlation at role-A setting i and role-B setting j;
-    sigma_B adds the four sigma_q in quadrature.  ``settings`` optionally
-    carries the (theta_ion, theta_photon) pairs for q11, q12, q21, q22 in
-    that order, for reporting.
+    sigma_B adds the four sigma_q in quadrature.
     """
     estimates = (q11, q12, q21, q22)
     value = bell_signal(q22[0], q12[0], q21[0], q11[0])
     sigma = math.sqrt(sum(s * s for _, s in estimates))
-    if settings is None:
-        settings = (
-            (angles.a1.theta, angles.b1.theta),
-            (angles.a1.theta, angles.b2.theta),
-            (angles.a2.theta, angles.b1.theta),
-            (angles.a2.theta, angles.b2.theta),
-        )
+    settings = (
+        (angles.a1.theta, angles.b1.theta),
+        (angles.a1.theta, angles.b2.theta),
+        (angles.a2.theta, angles.b1.theta),
+        (angles.a2.theta, angles.b2.theta),
+    )
     correlations = tuple(
         SettingEstimate(ts, tp, q, s, 0)
         for (ts, tp), (q, s) in zip(settings, estimates)
@@ -250,7 +233,7 @@ def _assemble_result(
     angles = plan.bell_angles(experiment)
     role_keys = plan.role_order_settings(experiment)
     q11, q12, q21, q22 = (by_setting[key] for key in role_keys)
-    result = bell_from_correlations(q11, q12, q21, q22, angles=angles, settings=tuple(role_keys))
+    result = bell_from_correlations(q11, q12, q21, q22, angles=angles)
     per_setting = plan.events_per_setting if events_used else 0
     table = tuple(
         SettingEstimate(ts, tp, *by_setting[(ts, tp)], per_setting)

@@ -4,10 +4,10 @@ Covers the quantitative side of a loophole-free test built from two
 heralded atom-photon pairs: light-cone separation requirements for the
 locality loophole, multiplicative detection budgets for the fair-sample
 question, fiber survival of the photons en route to a midpoint analyzer,
-a partial Bell-state analysis that heralds only the two odd-parity Bell
-states (capping the success probability at 1/2), the entanglement swap
-it induces on the two remote ions, and geometric waiting-time estimates
-for repeater chains.
+the projection of a partial Bell-state analysis that heralds only the
+two odd-parity Bell states (capping the success probability at 1/2)
+together with the ion-ion states it leaves, and geometric waiting-time
+estimates for repeater chains.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ PSI_MINUS = "psi_minus"
 BSA_FAIL = "fail"
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-# Two-qubit Bell kets in the computational basis (first qubit, second qubit).
+# The two odd-parity Bell kets the analyzer heralds, in the computational
+# basis (first qubit, second qubit).
 BELL_KETS = {
-    "phi_plus": np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex),
-    "phi_minus": np.array([_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2], dtype=complex),
     PSI_PLUS: np.array([0.0, _INV_SQRT2, _INV_SQRT2, 0.0], dtype=complex),
     PSI_MINUS: np.array([0.0, _INV_SQRT2, -_INV_SQRT2, 0.0], dtype=complex),
 }
@@ -52,13 +51,10 @@ class GeometryConfig:
     atom_to_analysis_distance: float = 1.1
     atom_measurement_time: float = 125e-6
     rotation_time: float = 0.0
-    speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
         if min(self.atom_to_analysis_distance, self.atom_measurement_time, self.rotation_time) < 0:
             raise ValueError("distances and times must be non-negative")
-        if self.speed_of_light <= 0:
-            raise ValueError("speed of light must be positive")
 
 
 @dataclass(frozen=True)
@@ -76,21 +72,6 @@ class LinkBudget:
             raise ValueError("coupling efficiency must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class SwapResult:
-    """Outcome of one entanglement-swap attempt."""
-
-    success: bool
-    bsa_outcome: str
-    ion_ion_state: DensityMatrix | None = None
-
-    def __post_init__(self) -> None:
-        if self.bsa_outcome not in (PSI_PLUS, PSI_MINUS, BSA_FAIL):
-            raise ValueError(f"unknown analyzer outcome {self.bsa_outcome!r}")
-        if self.success and self.ion_ion_state is None:
-            raise ValueError("successful swap must carry the heralded ion-ion state")
-
-
 class LocalityVerdict(NamedTuple):
     required_separation: float  # meters
     closed: bool
@@ -104,7 +85,7 @@ class DetectionBudget(NamedTuple):
 
 def locality_check(geom: GeometryConfig) -> LocalityVerdict:
     """Separation needed to keep the full qubit measurement outside the light cone."""
-    required = geom.speed_of_light * (geom.rotation_time + geom.atom_measurement_time)
+    required = SPEED_OF_LIGHT * (geom.rotation_time + geom.atom_measurement_time)
     return LocalityVerdict(required, geom.atom_to_analysis_distance >= required)
 
 
@@ -136,43 +117,6 @@ def photon_survival(link: LinkBudget) -> float:
     """Probability a photon survives the link's fiber and coupling."""
     length_km = link.fiber_length / 1000.0
     return link.coupling_efficiency * 10.0 ** (-link.attenuation_db_per_km * length_km / 10.0)
-
-
-def bell_basis_weights(photon_state: TwoQubitState | DensityMatrix | np.ndarray) -> dict[str, float]:
-    """Weights of a two-photon state in the Bell basis."""
-    if isinstance(photon_state, np.ndarray):
-        rho = np.asarray(photon_state, dtype=complex)
-        if rho.shape == (4,):
-            rho = np.outer(rho, rho.conj())
-        if rho.shape != (4, 4):
-            raise ValueError("two-photon state must be a 4-vector or 4x4 matrix")
-    else:
-        rho = densify(photon_state).matrix
-    weights = {}
-    for name, ket in BELL_KETS.items():
-        weights[name] = max(0.0, float(np.real(ket.conj() @ rho @ ket)))
-    return weights
-
-
-def bell_state_analysis(
-    photon_state: TwoQubitState | DensityMatrix | np.ndarray, rng: np.random.Generator
-) -> str:
-    """Partial Bell-state analysis of the two photons.
-
-    Projects onto the Bell basis and heralds only the odd-parity outcomes
-    psi+/psi-; both even-parity states are indistinguishable to the
-    analyzer and map to failure.  Sampling follows the state's
-    Bell-basis weights.
-    """
-    weights = bell_basis_weights(photon_state)
-    p_plus = weights[PSI_PLUS]
-    p_minus = weights[PSI_MINUS]
-    draw = rng.random()
-    if draw < p_plus:
-        return PSI_PLUS
-    if draw < p_plus + p_minus:
-        return PSI_MINUS
-    return BSA_FAIL
 
 
 def swap_conditional_states(
@@ -214,28 +158,6 @@ def _outcome_probabilities(projections: dict[str, tuple]) -> dict[str, float]:
     p_plus = projections[PSI_PLUS][0]
     p_minus = projections[PSI_MINUS][0]
     return {PSI_PLUS: p_plus, PSI_MINUS: p_minus, BSA_FAIL: max(0.0, 1.0 - p_plus - p_minus)}
-
-
-def entanglement_swap(
-    pair_a: TwoQubitState | DensityMatrix,
-    pair_b: TwoQubitState | DensityMatrix,
-    rng: np.random.Generator,
-) -> SwapResult:
-    """Swap entanglement onto the two ions by analyzing their photons.
-
-    On a heralded outcome the ions are left in the normalized conditional
-    state tagged by that outcome; zero-probability conditioning reports
-    failure.
-    """
-    projections = swap_conditional_states(pair_a, pair_b)
-    p_plus, state_plus = projections[PSI_PLUS]
-    p_minus, state_minus = projections[PSI_MINUS]
-    draw = rng.random()
-    if draw < p_plus and state_plus is not None:
-        return SwapResult(True, PSI_PLUS, state_plus)
-    if draw < p_plus + p_minus and state_minus is not None:
-        return SwapResult(True, PSI_MINUS, state_minus)
-    return SwapResult(False, BSA_FAIL, None)
 
 
 def heralded_ion_state(outcome: str) -> TwoQubitState:

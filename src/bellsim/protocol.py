@@ -154,7 +154,6 @@ class DetectorParams:
     pmt_efficiency_2: float = 1.0
     atom_bright_error: float = 0.0
     atom_dark_error: float = 0.0
-    atom_detection_duration: float = 125e-6
     waveplate_angle: float = 0.0
     dark_event_probability: float = 0.0
 
@@ -169,8 +168,6 @@ class DetectorParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} = {value!r} outside [0, 1]")
-        if self.atom_detection_duration <= 0.0:
-            raise ValueError("atom detection duration must be positive")
 
     @classmethod
     def experiment_like(cls) -> "DetectorParams":
@@ -219,25 +216,6 @@ def _herald(n_attempts: int, p_herald: float, rng: np.random.Generator) -> np.nd
     if count == 0:
         return np.empty(0, dtype=np.int64)
     return np.sort(rng.choice(n_attempts, count, replace=False, shuffle=False))
-
-
-def attempt_entanglement(
-    params: SourceParams, rng: np.random.Generator
-) -> tuple[TwoQubitState | DensityMatrix, float] | None:
-    """One excitation attempt; on success, the emitted pair and arrival time."""
-    if _herald(1, params.success_probability, rng).size == 0:
-        return None
-    return params.emitted_state(), float(rng.uniform(0.0, params.excitation_window))
-
-
-def single_pulse_probability(theta: float, phi: float) -> float:
-    """P(|0>) after rotating (|0> + |1>)/sqrt(2) with one direct pulse."""
-    return (1.0 - math.cos(phi) * math.sin(theta)) / 2.0
-
-
-def two_pulse_probability(theta: float, phi: float, transfer_phi: float) -> float:
-    """P(|0>) for the transfer-then-rotate sequence; only phi - transfer_phi enters."""
-    return (1.0 - math.cos(phi - transfer_phi) * math.sin(theta)) / 2.0
 
 
 def _atom_batch(atom_state: np.ndarray) -> np.ndarray:
@@ -334,25 +312,6 @@ def _detect_photons(
     return outcome, pmt, accepted
 
 
-def measure_photon(
-    state: TwoQubitState | DensityMatrix,
-    det: DetectorParams,
-    rng: np.random.Generator,
-) -> tuple[int, np.ndarray] | None:
-    """PBS/PMT measurement of the photonic qubit (analysis basis already applied).
-
-    Samples the photonic outcome, maps it to a physical PMT according to
-    the waveplate role setting, and applies that PMT's efficiency as an
-    acceptance test.  Returns (pmt_index, conditional atom state), or
-    None when the click is lost (a non-event, discarded upstream).
-    """
-    probs, conditionals = _photon_marginal_and_conditionals(state)
-    outcome, pmt, accepted = _detect_photons(probs[0], np.zeros(1, dtype=bool), det, rng)
-    if not accepted[0]:
-        return None
-    return int(pmt[0]), conditionals[outcome[0]]
-
-
 def _read_out(states: np.ndarray, det: DetectorParams, rng: np.random.Generator) -> np.ndarray:
     """Fluorescence readout of a batch of kets or density matrices, with label flips."""
     p_bright = np.abs(states[:, 0]) ** 2 if states.ndim == 2 else np.real(states[:, 0, 0])
@@ -411,19 +370,6 @@ def _heralded_chain(
         repeat(det.pmt_role_swapped),
     )
     return list(map(EventRecord._make, zip(*columns)))
-
-
-def run_trial(
-    source: SourceParams,
-    pulse: PulseSequence,
-    photon_setting: MeasurementSetting,
-    det: DetectorParams,
-    rng: np.random.Generator,
-    attempt_index: int = 0,
-) -> EventRecord | None:
-    """One full attempt: excite, detect the photon, rotate the atom, read out."""
-    events = simulate_attempts(1, source, pulse, photon_setting, det, rng)
-    return events[0]._replace(attempt_index=attempt_index) if events else None
 
 
 def simulate_attempts(
@@ -508,8 +454,8 @@ def sample_outcome_counts(
     """Counts of recorded (atom, PMT) outcomes over n_events recorded events.
 
     Exact conditional sampling given the number of recorded events;
-    statistically identical to tallying ``run_trial`` successes, but
-    O(1) instead of O(attempts).
+    statistically identical to tallying the events of ``simulate_attempts``,
+    but O(1) instead of O(heralds).
     """
     probabilities, _ = recorded_outcome_distribution(source, pulse, photon_setting, det)
     return rng.multinomial(n_events, probabilities)
@@ -526,7 +472,7 @@ def iter_heralded_events(
     """Yield exactly n_events recorded events, skipping the attempt gate.
 
     Conditioning on success leaves the per-event physics unchanged, so
-    this runs the same chain as ``run_trial`` minus the Bernoulli gate.
+    this runs the same chain as ``simulate_attempts`` minus the herald draw.
     Rejected photon detections still cost a retry, as in the hardware,
     and configured dark events enter with their per-attempt weight.
     Attempts are drawn in batches sized from the exact acceptance.

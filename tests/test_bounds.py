@@ -17,7 +17,6 @@ from bellsim.bounds import (
     extremal_bell_numeric,
     lhv_enumerate,
     tsirelson_scan,
-    werner_bell,
 )
 from bellsim.states import (
     BellAngles,
@@ -26,7 +25,6 @@ from bellsim.states import (
     chsh_operator,
     densify,
     fidelity,
-    werner,
 )
 
 
@@ -269,27 +267,6 @@ class TestTsirelsonScan:
         value, b1, b2 = best
         assert value == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
         assert {round(b1 / math.pi, 6), round(b2 / math.pi, 6)} == {0.25, 0.75}
-
-
-class TestWernerBell:
-    def test_pure_limit(self):
-        assert werner_bell(1.0) == pytest.approx(2.82843, abs=5e-6)
-
-    def test_reference_mixing(self):
-        value = werner_bell(0.82667)
-        assert value == pytest.approx(TSIRELSON_BOUND * 0.82667, abs=1e-12)
-        # matrix-oracle agreement
-        operator = chsh_operator(BellAngles.canonical())
-        traced = float(np.real(np.trace(werner(0.82667).matrix @ operator)))
-        assert value == pytest.approx(traced, abs=1e-12)
-
-    def test_classical_threshold(self):
-        assert werner_bell(2.0 ** -0.5) == pytest.approx(2.0, abs=1e-12)
-        assert werner_bell(0.70711) == pytest.approx(2.0, abs=1e-4)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            werner_bell(-0.2)
 
 
 class TestSettingsInteroperability:

@@ -12,7 +12,6 @@ from bellsim.harness import (
     CorrelationTally,
     SettingsPlan,
     bell_from_correlations,
-    bootstrap_correlation_sigma,
     combine_swapped_runs,
     estimate_correlation,
     reference_bell_results,
@@ -50,13 +49,6 @@ class TestEstimateCorrelation:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             CorrelationTally(-1, 0, 0, 0)
-
-    def test_bootstrap_agrees_with_closed_form(self):
-        rng = np.random.default_rng(7)
-        tally = CorrelationTally(450, 50, 50, 450)
-        _, sigma = estimate_correlation(tally)
-        boot = bootstrap_correlation_sigma(tally, rng, n_resamples=2000)
-        assert abs(boot - sigma) / sigma < 0.15
 
 
 class TestCombineSwappedRuns:

@@ -1,4 +1,4 @@
-"""Tests of loophole arithmetic, Bell-state analysis, swapping, and latency."""
+"""Tests of loophole arithmetic, the swap projection, and latency."""
 
 import json
 import math
@@ -17,13 +17,9 @@ from bellsim.network import (
     BELL_KETS,
     GeometryConfig,
     LinkBudget,
-    SwapResult,
     adapted_bell_angles,
-    bell_basis_weights,
-    bell_state_analysis,
     chain_latency,
     detection_accounting,
-    entanglement_swap,
     heralded_ion_state,
     locality_check,
     photon_midpoint_distance,
@@ -33,7 +29,6 @@ from bellsim.network import (
 )
 from bellsim.states import (
     DensityMatrix,
-    TwoQubitState,
     bell_pair_ideal,
     chsh_operator,
     densify,
@@ -138,36 +133,6 @@ class TestPhotonSurvival:
         assert joined == pytest.approx(split, rel=1e-12, abs=1e-300)
 
 
-class TestBellStateAnalysis:
-    def test_weights_of_two_ideal_pairs_photon_marginal(self):
-        # reduced two-photon state of two ideal pairs is I/4
-        weights = bell_basis_weights(np.eye(4, dtype=complex) / 4.0)
-        assert weights[PSI_PLUS] == pytest.approx(0.25, abs=1e-12)
-        assert weights[PSI_MINUS] == pytest.approx(0.25, abs=1e-12)
-
-    def test_pure_odd_parity_heralds_deterministically(self, rng):
-        psi_plus = TwoQubitState(BELL_KETS[PSI_PLUS])
-        assert all(
-            bell_state_analysis(psi_plus, rng) == PSI_PLUS for _ in range(50)
-        )
-
-    def test_even_parity_always_fails(self, rng):
-        phi_plus = bell_pair_ideal()
-        assert all(
-            bell_state_analysis(phi_plus, rng) == BSA_FAIL for _ in range(50)
-        )
-
-    def test_success_probability_one_half(self):
-        rng = np.random.default_rng(13)
-        mixed_photons = np.eye(4, dtype=complex) / 4.0
-        n = 100_000
-        draws = rng.random(n)
-        weights = bell_basis_weights(mixed_photons)
-        successes = int(np.sum(draws < weights[PSI_PLUS] + weights[PSI_MINUS]))
-        sigma = math.sqrt(n * 0.25)
-        assert abs(successes - 0.5 * n) < 5.0 * sigma
-
-
 def _oracle_swap(pair_a: np.ndarray, pair_b: np.ndarray, outcome_ket: np.ndarray):
     """Independent 16-dim projector oracle for the swap conditional state."""
     joint = np.kron(pair_a, pair_b)
@@ -247,18 +212,6 @@ class TestEntanglementSwap:
         success = (counts[0] + counts[1]) / n
         assert abs(success - 0.5) < 0.005
 
-    def test_swap_result_sampling(self, rng):
-        results = [
-            entanglement_swap(bell_pair_ideal(), bell_pair_ideal(), rng) for _ in range(200)
-        ]
-        heralded = [r for r in results if r.success]
-        failed = [r for r in results if not r.success]
-        assert heralded and failed
-        for result in heralded:
-            assert result.bsa_outcome in (PSI_PLUS, PSI_MINUS)
-            assert result.ion_ion_state is not None
-        assert all(r.bsa_outcome == BSA_FAIL and r.ion_ion_state is None for r in failed)
-
     def test_maximally_mixed_input_gives_mixed_output(self, rng):
         mixed = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
         conditionals = swap_conditional_states(mixed, bell_pair_ideal())
@@ -281,11 +234,15 @@ class TestEntanglementSwap:
             assert value <= input_bell + 1e-12
             assert value == pytest.approx(TSIRELSON * p * p, abs=1e-9)
 
-    def test_swap_result_validation(self):
-        with pytest.raises(ValueError):
-            SwapResult(True, PSI_PLUS, None)
-        with pytest.raises(ValueError):
-            SwapResult(False, "nonsense", None)
+    def test_werner_outcome_probabilities_are_fixed(self):
+        # the photon marginals of Werner pairs are I/2, so each odd-parity
+        # outcome heralds with exactly 1/4 whatever the mixing
+        for p_a in np.linspace(0.0, 1.0, 11):
+            for p_b in np.linspace(0.0, 1.0, 11):
+                probabilities = swap_outcome_probabilities(werner(p_a), werner(p_b))
+                assert probabilities[PSI_PLUS] == pytest.approx(0.25, abs=1e-12)
+                assert probabilities[PSI_MINUS] == pytest.approx(0.25, abs=1e-12)
+                assert probabilities[BSA_FAIL] == pytest.approx(0.5, abs=1e-12)
 
     def test_heralded_state_lookup_rejects_fail(self):
         with pytest.raises(ValueError):

@@ -18,20 +18,14 @@ from bellsim.protocol import (
     PulseSequence,
     SourceParams,
     apply_pulse_sequence,
-    attempt_entanglement,
     iter_heralded_events,
     measure_atom,
-    measure_photon,
     recorded_outcome_distribution,
-    run_trial,
     sample_outcome_counts,
     simulate_attempts,
-    single_pulse_probability,
-    two_pulse_probability,
     _apply_pulses,
 )
 from bellsim.states import (
-    DensityMatrix,
     MeasurementSetting,
     bell_pair_ideal,
     outcome_probabilities,
@@ -56,63 +50,6 @@ class TestSourceParams:
         params = SourceParams()
         attempts = 1200.0 * params.repetition_rate
         assert attempts * params.success_probability == pytest.approx(1992.0, abs=1e-9)
-
-
-class TestAttemptEntanglement:
-    def test_zero_probability_never_succeeds(self, rng):
-        params = SourceParams(excitation_probability=0.0)
-        assert all(attempt_entanglement(params, rng) is None for _ in range(1000))
-
-    def test_success_rate_within_binomial_band(self):
-        rng = np.random.default_rng(5)
-        params = SourceParams(excitation_probability=0.5)  # p_succ = 1e-3
-        n = 500_000
-        hits = sum(attempt_entanglement(params, rng) is not None for _ in range(n))
-        mean = n * params.success_probability
-        sigma = math.sqrt(mean * (1.0 - params.success_probability))
-        assert abs(hits - mean) < 5.0 * sigma
-
-    def test_arrival_times_inside_window(self, rng):
-        params = SourceParams(excitation_probability=1.0, collection_efficiency=1.0,
-                              detector_quantum_efficiency=1.0)
-        for _ in range(200):
-            _, arrival = attempt_entanglement(params, rng)
-            assert 0.0 <= arrival <= params.excitation_window
-
-    def test_deterministic_for_fixed_seed(self):
-        params = SourceParams()
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(123)
-            runs.append([attempt_entanglement(params, rng) for _ in range(5000)])
-        firsts, seconds = runs
-        assert len(firsts) == len(seconds)
-        for a, b in zip(firsts, seconds):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a[1] == b[1]
-
-
-class TestPulseProbabilities:
-    @given(theta=angle, phi=angle)
-    def test_single_pulse_in_unit_interval(self, theta, phi):
-        assert 0.0 <= single_pulse_probability(theta, phi) <= 1.0
-
-    def test_single_pulse_values(self):
-        assert single_pulse_probability(math.pi / 2, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert single_pulse_probability(0.0, 1.23) == pytest.approx(0.5, abs=1e-15)
-        assert single_pulse_probability(math.pi / 2, math.pi) == pytest.approx(1.0, abs=1e-15)
-
-    def test_two_pulse_values(self):
-        assert two_pulse_probability(math.pi / 2, 0.7, 0.7) == pytest.approx(0.0, abs=1e-15)
-        assert two_pulse_probability(0.0, 0.4, 2.2) == pytest.approx(0.5, abs=1e-15)
-        assert two_pulse_probability(math.pi / 2, math.pi / 3, 0.0) == pytest.approx(0.25, abs=1e-15)
-
-    @given(theta=angle, phi=angle, transfer=angle, offset=angle)
-    def test_two_pulse_depends_only_on_phase_difference(self, theta, phi, transfer, offset):
-        base = two_pulse_probability(theta, phi, transfer)
-        shifted = two_pulse_probability(theta, phi + offset, transfer + offset)
-        assert shifted == pytest.approx(base, abs=1e-9)
 
 
 class TestPulseSequence:
@@ -195,46 +132,27 @@ class TestPulseSequence:
 
 
 class TestMeasurePhoton:
-    def test_schmidt_collapse(self, rng):
-        state = bell_pair_ideal()
-        det = DetectorParams()
-        for _ in range(50):
-            pmt, atom = measure_photon(state, det, rng)
-            expected = np.array([1.0, 0.0]) if pmt == 0 else np.array([0.0, 1.0])
-            np.testing.assert_allclose(np.abs(atom) ** 2, expected, atol=1e-12)
-
-    def test_outcome_fraction_binomial_band(self):
-        rng = np.random.default_rng(11)
-        state = bell_pair_ideal()
-        det = DetectorParams()
-        n = 100_000
-        zeros = sum(measure_photon(state, det, rng)[0] == 0 for _ in range(n))
-        assert abs(zeros / n - 0.5) < 0.005
+    pulse = PulseSequence(TWO_PULSE, 0.0)  # transfer only: the atom keeps its label
+    setting_p = MeasurementSetting(0.0)
 
     def test_dead_pmt_records_only_the_other(self, rng):
         det = DetectorParams(pmt_efficiency_2=0.0)
-        state = bell_pair_ideal()
-        outcomes = [measure_photon(state, det, rng) for _ in range(500)]
-        recorded = [o for o in outcomes if o is not None]
-        assert recorded and all(pmt == 0 for pmt, _ in recorded)
+        events = list(
+            iter_heralded_events(500, SourceParams(), self.pulse, self.setting_p, det, rng)
+        )
+        assert events and all(event.photon_outcome == 0 for event in events)
 
     def test_swapped_roles_relabel_the_tube(self, rng):
         # with PMT 2 dead and roles swapped, only polarization outcome 1 survives
         det = DetectorParams(pmt_efficiency_2=0.0).with_swapped_pmts()
         assert det.pmt_role_swapped
-        state = bell_pair_ideal()
-        recorded = [measure_photon(state, det, rng) for _ in range(500)]
-        recorded = [o for o in recorded if o is not None]
-        assert recorded
-        for pmt, atom in recorded:
-            assert pmt == 0
-            np.testing.assert_allclose(np.abs(atom) ** 2, [0.0, 1.0], atol=1e-12)
-
-    def test_mixed_state_conditionals(self, rng):
-        mixed = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
-        pmt, atom = measure_photon(mixed, DetectorParams(), rng)
-        assert atom.shape == (2, 2)
-        np.testing.assert_allclose(atom, np.eye(2) / 2.0, atol=1e-12)
+        events = list(
+            iter_heralded_events(500, SourceParams(), self.pulse, self.setting_p, det, rng)
+        )
+        assert events
+        for event in events:
+            assert event.photon_outcome == 0
+            assert event.atom_outcome == DARK
 
 
 class TestMeasureAtom:
@@ -266,41 +184,32 @@ class TestMeasureAtom:
 
 
 class TestRunTrial:
+    certain = SourceParams(excitation_probability=1.0, collection_efficiency=1.0,
+                           detector_quantum_efficiency=1.0)
+
     def test_aligned_settings_perfectly_correlated(self):
+        # Schmidt collapse: each photon outcome leaves the atom in the matching state
         rng = np.random.default_rng(17)
-        source = SourceParams(excitation_probability=1.0, collection_efficiency=1.0,
-                              detector_quantum_efficiency=1.0)
         pulse = PulseSequence(TWO_PULSE, 0.0)
-        setting_p = MeasurementSetting(0.0)
-        det = DetectorParams()
-        for _ in range(300):
-            event = run_trial(source, pulse, setting_p, det, rng)
-            assert event is not None
-            assert event.atom_outcome == event.photon_outcome
+        events = simulate_attempts(
+            300, self.certain, pulse, MeasurementSetting(0.0), DetectorParams(), rng
+        )
+        assert len(events) == 300
+        assert all(event.atom_outcome == event.photon_outcome for event in events)
+        assert all(0.0 <= e.arrival_time <= self.certain.excitation_window for e in events)
 
     def test_event_record_fields(self):
         rng = np.random.default_rng(23)
-        source = SourceParams(excitation_probability=1.0, collection_efficiency=1.0,
-                              detector_quantum_efficiency=1.0)
         pulse = PulseSequence(TWO_PULSE, math.pi / 2)
-        event = run_trial(source, pulse, MeasurementSetting(math.pi / 4), DetectorParams(), rng,
-                          attempt_index=7)
+        (event,) = simulate_attempts(
+            1, self.certain, pulse, MeasurementSetting(math.pi / 4), DetectorParams(), rng
+        )
         assert isinstance(event, EventRecord)
-        assert event.attempt_index == 7
-        assert 0.0 <= event.arrival_time <= source.excitation_window
+        assert event.attempt_index == 0
+        assert 0.0 <= event.arrival_time <= self.certain.excitation_window
         assert event.setting_s.theta == pytest.approx(math.pi / 2)
         assert event.setting_p.theta == pytest.approx(math.pi / 4)
         assert not event.pmt_role_swapped
-
-    def test_returns_its_attempt_index(self):
-        source = SourceParams(excitation_probability=1.0, collection_efficiency=1.0,
-                              detector_quantum_efficiency=1.0)
-        pulse = PulseSequence(SINGLE_PULSE, 0.4)
-        rng = np.random.default_rng(29)
-        for index in (0, 3, 10**12):
-            event = run_trial(source, pulse, MeasurementSetting(0.2), DetectorParams(), rng,
-                              attempt_index=index)
-            assert event.attempt_index == index
 
     def test_event_record_is_an_immutable_hashable_record(self):
         event = EventRecord(4, 1e-8, MeasurementSetting(0.1), MeasurementSetting(0.2), 1, 0, True)
@@ -435,7 +344,10 @@ class TestSamplingConsistency:
         counts = _tally_events(
             iter_heralded_events(n, source, pulse, setting_p, det, np.random.default_rng(97))
         )
-        expected, _ = recorded_outcome_distribution(source, pulse, setting_p, det)
+        expected, acceptance = recorded_outcome_distribution(source, pulse, setting_p, det)
+        assert np.all(expected >= 0.0)
+        assert abs(expected.sum() - 1.0) <= 1e-12
+        assert 0.0 <= acceptance <= 1.0
         for observed, f in zip(counts, expected):
             band = 5.0 * math.sqrt(f * (1.0 - f) / n)
             assert abs(observed / n - f) <= band
@@ -536,10 +448,7 @@ class TestDarkEvents:
         source = SourceParams(excitation_probability=0.0)
         pulse = PulseSequence(TWO_PULSE, 0.0)
         det = DetectorParams(dark_event_probability=0.5)
-        events = [
-            run_trial(source, pulse, MeasurementSetting(0.0), det, rng) for _ in range(100)
-        ]
-        hits = [e for e in events if e is not None]
+        hits = simulate_attempts(100, source, pulse, MeasurementSetting(0.0), det, rng)
         assert 10 < len(hits) < 90
         # theta = 0 leaves the ground-state atom bright
         assert all(e.atom_outcome == BRIGHT for e in hits)

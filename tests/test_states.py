@@ -84,6 +84,7 @@ class TestDomainTypes:
         setting = MeasurementSetting(theta, phi)
         assert 0.0 <= setting.theta <= math.pi
         assert 0.0 <= setting.phi < 2.0 * math.pi
+        assert MeasurementSetting(setting.theta, setting.phi) == setting
         raw = np.array(
             [
                 -math.sin(theta) * math.cos(phi),
@@ -344,10 +345,15 @@ class TestChshOperator:
             sorted(eigenvalues), [-TSIRELSON, 0.0, 0.0, TSIRELSON], atol=1e-12
         )
 
-    def test_ideal_pair_expectation(self):
-        rho = densify(bell_pair_ideal()).matrix
+    @pytest.mark.parametrize(
+        "state, expected",
+        [(bell_pair_ideal(), TSIRELSON), (werner(0.82667), TSIRELSON * 0.82667)],
+        ids=["ideal", "werner"],
+    )
+    def test_ideal_pair_expectation(self, state, expected):
+        rho = densify(state).matrix
         value = np.real(np.trace(rho @ chsh_operator(CANONICAL)))
-        assert value == pytest.approx(TSIRELSON, abs=1e-12)
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_traceless(self):
         assert abs(np.trace(chsh_operator(CANONICAL))) < 1e-12
