@@ -14,7 +14,7 @@ sigma_q = sqrt((1 - q^2)/N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,20 @@ from .protocol import (
     sample_outcome_counts,
 )
 from .states import BellAngles, MeasurementSetting, bell_signal
+
+
+# Role-A and role-B analysis angles of both inequality measurements (azimuth zero).
+_ROLE_A_THETAS = (0.0, math.pi / 2)
+_ROLE_B_THETAS = (math.pi / 4, 3 * math.pi / 4)
+
+
+def _ion_photon_thetas(experiment: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(ion angles, photon angles) of one inequality measurement."""
+    if experiment == 1:
+        return _ROLE_A_THETAS, _ROLE_B_THETAS
+    if experiment == 2:
+        return _ROLE_B_THETAS, _ROLE_A_THETAS
+    raise ValueError(f"experiment index {experiment!r} must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -40,41 +54,26 @@ class SettingsPlan:
 
     events_per_setting: int = 2000
 
-    ion_angles_1: tuple[float, float] = (0.0, math.pi / 2)
-    photon_angles_1: tuple[float, float] = (math.pi / 4, 3 * math.pi / 4)
-    photon_angles_2: tuple[float, float] = (0.0, math.pi / 2)
-    ion_angles_2: tuple[float, float] = (math.pi / 4, 3 * math.pi / 4)
-
     def __post_init__(self) -> None:
         if self.events_per_setting < 2:
             raise ValueError("need at least 2 events per setting (two sub-runs)")
 
     def experiment_settings(self, experiment: int) -> list[tuple[float, float]]:
         """(theta_ion, theta_photon) pairs in published table order."""
-        if experiment == 1:
-            return [(ts, tp) for ts in self.ion_angles_1 for tp in self.photon_angles_1]
-        if experiment == 2:
-            return [(ts, tp) for ts in self.ion_angles_2 for tp in self.photon_angles_2]
-        raise ValueError(f"experiment index {experiment!r} must be 1 or 2")
+        ion, photon = _ion_photon_thetas(experiment)
+        return [(ts, tp) for ts in ion for tp in photon]
 
     def bell_angles(self, experiment: int) -> BellAngles:
-        if experiment == 1:
-            return BellAngles.from_thetas(*self.ion_angles_1, *self.photon_angles_1)
-        if experiment == 2:
-            return BellAngles.from_thetas(*self.photon_angles_2, *self.ion_angles_2)
-        raise ValueError(f"experiment index {experiment!r} must be 1 or 2")
+        """Role-A angles (a1, a2) and role-B angles (b1, b2), the same in both experiments."""
+        _ion_photon_thetas(experiment)  # rejects an unknown experiment index
+        return BellAngles.from_thetas(*_ROLE_A_THETAS, *_ROLE_B_THETAS)
 
     def role_order_settings(self, experiment: int) -> list[tuple[float, float]]:
         """(theta_ion, theta_photon) pairs ordered (q11, q12, q21, q22)."""
-        angles = self.bell_angles(experiment)
-        keys = []
-        for a in (angles.a1, angles.a2):
-            for b in (angles.b1, angles.b2):
-                if experiment == 1:
-                    keys.append((a.theta, b.theta))
-                else:
-                    keys.append((b.theta, a.theta))
-        return keys
+        ion, photon = _ion_photon_thetas(experiment)
+        if experiment == 1:
+            return [(a, b) for a in ion for b in photon]
+        return [(b, a) for a in photon for b in ion]  # role A is the photon
 
 
 @dataclass(frozen=True)
@@ -162,40 +161,6 @@ def combine_swapped_runs(
     return q, sigma
 
 
-def bell_from_correlations(
-    q11: tuple[float, float],
-    q12: tuple[float, float],
-    q21: tuple[float, float],
-    q22: tuple[float, float],
-    angles: BellAngles,
-) -> BellResult:
-    """Assemble a BellResult from four (q, sigma) estimates.
-
-    ``qij`` is the correlation at role-A setting i and role-B setting j;
-    sigma_B adds the four sigma_q in quadrature.
-    """
-    estimates = (q11, q12, q21, q22)
-    value = bell_signal(q22[0], q12[0], q21[0], q11[0])
-    sigma = math.sqrt(sum(s * s for _, s in estimates))
-    settings = (
-        (angles.a1.theta, angles.b1.theta),
-        (angles.a1.theta, angles.b2.theta),
-        (angles.a2.theta, angles.b1.theta),
-        (angles.a2.theta, angles.b2.theta),
-    )
-    correlations = tuple(
-        SettingEstimate(ts, tp, q, s, 0)
-        for (ts, tp), (q, s) in zip(settings, estimates)
-    )
-    return BellResult(
-        correlations=correlations,
-        bell_value=value,
-        bell_sigma=sigma,
-        events_used=0,
-        angles=angles,
-    )
-
-
 # Published correlations of the two reference experiments, used by the
 # --table1-fixture recomputation path; keys are (theta_ion, theta_photon).
 REFERENCE_CORRELATIONS_1: dict[tuple[float, float], float] = {
@@ -229,17 +194,23 @@ def _assemble_result(
     by_setting: dict[tuple[float, float], tuple[float, float]],
     events_used: int,
 ) -> BellResult:
-    """Build a BellResult from per-setting estimates keyed (theta_ion, theta_photon)."""
-    angles = plan.bell_angles(experiment)
-    role_keys = plan.role_order_settings(experiment)
-    q11, q12, q21, q22 = (by_setting[key] for key in role_keys)
-    result = bell_from_correlations(q11, q12, q21, q22, angles=angles)
+    """Build a BellResult from per-setting (q, sigma) estimates keyed (theta_ion, theta_photon).
+
+    ``qij`` is the correlation at role-A setting i and role-B setting j;
+    sigma_B adds the four sigma_q in quadrature.
+    """
+    q11, q12, q21, q22 = (by_setting[key] for key in plan.role_order_settings(experiment))
     per_setting = plan.events_per_setting if events_used else 0
-    table = tuple(
-        SettingEstimate(ts, tp, *by_setting[(ts, tp)], per_setting)
-        for ts, tp in plan.experiment_settings(experiment)
+    return BellResult(
+        correlations=tuple(
+            SettingEstimate(ts, tp, *by_setting[(ts, tp)], per_setting)
+            for ts, tp in plan.experiment_settings(experiment)
+        ),
+        bell_value=bell_signal(q22[0], q12[0], q21[0], q11[0]),
+        bell_sigma=math.sqrt(sum(s * s for _, s in (q11, q12, q21, q22))),
+        events_used=events_used,
+        angles=plan.bell_angles(experiment),
     )
-    return replace(result, correlations=table, events_used=events_used)
 
 
 def _measure_setting(

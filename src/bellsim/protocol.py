@@ -369,7 +369,10 @@ def _heralded_chain(
         atom_outcome.tolist(),
         repeat(det.pmt_role_swapped),
     )
-    return list(map(EventRecord._make, zip(*columns)))
+    # EventRecord._make checks each record's width; the zip fixes it once per batch.
+    if len(columns) != len(EventRecord._fields):
+        raise TypeError(f"expected {len(EventRecord._fields)} columns, got {len(columns)}")
+    return list(map(tuple.__new__, repeat(EventRecord), zip(*columns)))
 
 
 def simulate_attempts(

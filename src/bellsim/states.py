@@ -123,7 +123,8 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
-        if not np.allclose(m, m.conj().T, atol=HERMITICITY_TOL, rtol=0.0):
+        # A non-finite entry fails here; checked first, inf - inf would warn.
+        if not (np.isfinite(m).all() and np.abs(m - m.conj().T).max() <= HERMITICITY_TOL):
             raise ValueError("density matrix is not Hermitian within tolerance")
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > TRACE_TOL:
@@ -271,7 +272,8 @@ def werner(p: float) -> DensityMatrix:
     """Mix p * ideal pair + (1 - p) * I/4 (white noise stand-in)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight {p!r} outside [0, 1]")
-    pure = densify(bell_pair_ideal()).matrix
+    amps = bell_pair_ideal().amplitudes
+    pure = np.outer(amps, amps.conj())
     return DensityMatrix(p * pure + (1.0 - p) * np.eye(4, dtype=complex) / 4.0)
 
 

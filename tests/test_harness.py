@@ -11,14 +11,13 @@ from bellsim.harness import (
     BellResult,
     CorrelationTally,
     SettingsPlan,
-    bell_from_correlations,
     combine_swapped_runs,
     estimate_correlation,
     reference_bell_results,
     run_experiment,
 )
 from bellsim.protocol import DetectorParams, SourceParams
-from bellsim.states import BellAngles
+from bellsim.states import bell_signal
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 WERNER_P = 0.82667
@@ -110,9 +109,7 @@ class TestBellFromCorrelations:
         ]
 
     def test_all_zero_correlations(self):
-        zero = (0.0, 0.0)
-        result = bell_from_correlations(zero, zero, zero, zero, BellAngles.canonical())
-        assert result.bell_value == 0.0
+        assert bell_signal(0.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests of the stochastic entanglement-pipeline model."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -592,3 +593,59 @@ class TestHeraldGate:
             np.random.default_rng(127),
         )
         assert [event.attempt_index for event in events] == list(range(n_attempts))
+
+
+def _pinned_stream(mode: str, dark: float, werner_p: float) -> list[EventRecord]:
+    """20000 heralded events and one 1e7-attempt block, experiment-like readout, seed 7."""
+    source = SourceParams(werner_p=werner_p)
+    det = DetectorParams(
+        pmt_efficiency_2=0.8, atom_bright_error=0.025, atom_dark_error=0.025,
+        dark_event_probability=dark,
+    )
+    pulse = PulseSequence(mode, math.pi / 2)
+    setting_p = MeasurementSetting(math.pi / 4)
+    rng = np.random.default_rng(7)
+    events = list(iter_heralded_events(20_000, source, pulse, setting_p, det, rng))
+    return events + simulate_attempts(10_000_000, source, pulse, setting_p, det, rng)
+
+
+class TestPinnedStreams:
+    """Per-event streams are pinned by digest: a faster chain must draw the same events."""
+
+    # SHA-256 over repr(tuple(event)) of each stream, in order.
+    DIGESTS = {
+        (TWO_PULSE, 0.0, 1.0):
+            "562edcb693161b9c547f51ec19de2f6fac846fe6844c64195d1a5b50d1c06e1a",
+        (TWO_PULSE, 0.0, 0.82667):
+            "48278040de96cffbe743b5e035fb8979d11d3cb202a79105a391e1dbc20c219c",
+        (TWO_PULSE, 1e-5, 1.0):
+            "f543e0f1ec7ef16304e91d0ffca22bcd389c8090e4c4e111c14d98ad2403a6b8",
+        (TWO_PULSE, 1e-5, 0.82667):
+            "36fa1f1d01f077b2fb07a5e9e7d49da8ac613be6961e53998da1e36ad2beca88",
+        (SINGLE_PULSE, 0.0, 1.0):
+            "d2735bdcd0f9b72dcf612ff42cd15a990957954700012bc3f47237215b3cd32a",
+        (SINGLE_PULSE, 0.0, 0.82667):
+            "3a472e6e2f2efd7fc6bc405d0360ccdf8a033559495dfe37e05c7e1c396c0ead",
+        (SINGLE_PULSE, 1e-5, 1.0):
+            "4b6bd3efdbdce6c5de54a6765e69984ad9652e961e2b4a7da4491a61c5ba4207",
+        (SINGLE_PULSE, 1e-5, 0.82667):
+            "0b6f1f85a6ca120350ce1a2e1433a13b23b06def8c42fa8568e4ec5fc3b63c89",
+    }
+
+    @pytest.mark.parametrize(
+        "config", list(DIGESTS), ids=lambda c: f"{c[0]}-dark{c[1]:g}-werner{c[2]:g}"
+    )
+    def test_stream_digest_and_records(self, config):
+        events = _pinned_stream(*config)
+        digest = hashlib.sha256()
+        for event in events:
+            digest.update(repr(tuple(event)).encode())
+        assert digest.hexdigest() == self.DIGESTS[config]
+        for event in events:
+            assert type(event) is EventRecord
+            assert len(event) == len(EventRecord._fields)
+            assert event == EventRecord(*event)
+            flipped = event._replace(atom_outcome=1 - event.atom_outcome)
+            assert flipped == (*event[:5], 1 - event.atom_outcome, event[6])
+            with pytest.raises(AttributeError):
+                event.atom_outcome = 0

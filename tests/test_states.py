@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.states import (
     ATOM,
+    HERMITICITY_TOL,
     PHOTON,
     BellAngles,
     DensityMatrix,
@@ -61,6 +62,56 @@ class TestDomainTypes:
     def test_density_matrix_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4.0
         m[0, 1] = 0.5
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(m)
+
+    _OFF_DIAGONAL = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        entries=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=32, max_size=32),
+        size=st.floats(min_value=1e-13, max_value=1e-11),
+        phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        pair=st.integers(min_value=0, max_value=5),
+    )
+    @example(entries=[0.0] * 32, size=1e-12, phase=0.0, pair=0)
+    @example(entries=[0.0] * 32, size=1e-12, phase=math.pi / 2, pair=5)
+    @example(entries=[0.3] * 32, size=1e-12, phase=0.0, pair=2)
+    @example(entries=[0.0] * 32, size=float(np.nextafter(1e-12, 1.0)), phase=0.0, pair=1)
+    def test_hermiticity_decision_matches_allclose(self, entries, size, phase, pair):
+        # A positive, trace-1 Hermitian matrix plus an anti-Hermitian perturbation
+        # whose only nonzero pair of entries leaves |m - m^dagger| = size there.
+        a = (np.array(entries[:16]) + 1j * np.array(entries[16:])).reshape(4, 4)
+        h = a @ a.conj().T + np.eye(4)
+        h = (h + h.conj().T) / 2.0
+        m = h / np.trace(h).real
+        i, j = self._OFF_DIAGONAL[pair]
+        k = 0.5 * size * complex(math.cos(phase), math.sin(phase))
+        m[i, j] += k
+        m[j, i] -= k.conjugate()
+        expected = np.allclose(m, m.conj().T, atol=HERMITICITY_TOL, rtol=0)
+        try:
+            DensityMatrix(m)
+            accepted = True
+        except ValueError as exc:
+            assert "Hermitian" in str(exc)
+            accepted = False
+        assert accepted == expected
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [
+            ((0, 0), np.inf),
+            ((2, 2), -np.inf),
+            ((0, 1), np.inf),
+            ((3, 1), complex(np.inf, np.inf)),
+            ((1, 1), np.nan),
+            ((0, 3), complex(0.0, np.nan)),
+        ],
+    )
+    def test_density_matrix_rejects_non_finite_entries(self, index, value):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[index] = value
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(m)
 
