@@ -146,13 +146,6 @@ def swap_conditional_states(
     return projections
 
 
-def swap_outcome_probabilities(
-    pair_a: TwoQubitState | DensityMatrix, pair_b: TwoQubitState | DensityMatrix
-) -> dict[str, float]:
-    """Heralding probabilities of the analyzer outcomes, including failure."""
-    return _outcome_probabilities(swap_conditional_states(pair_a, pair_b))
-
-
 def _outcome_probabilities(projections: dict[str, tuple]) -> dict[str, float]:
     """Outcome probabilities, failure included, from ``swap_conditional_states``."""
     p_plus = projections[PSI_PLUS][0]

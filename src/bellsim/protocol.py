@@ -17,6 +17,14 @@ the photon arrival time through the qubit precession at the microwave
 frequency, which washes out the rotation azimuth when many arrival times
 are averaged.
 
+Both modes share one atom stage.  The readout needs only the bright
+probability of each conditional atom state rho, and with u the first row
+of the rotation at zero arrival time it is p_bright = A + Re(B e^{-ia}),
+A = |u0|^2 rho00 + |u1|^2 rho11, B = 2 u1 conj(u0) rho10, where the
+precession phase a is 2*pi*f*t in single-pulse mode and 0 in two-pulse
+mode.  The per-event samplers evaluate it at each arrival time; the
+closed form averages e^{-ia} over the excitation window.
+
 All sampling goes through an explicitly passed ``numpy.random.Generator``
 so identical seeds reproduce identical event streams.
 """
@@ -36,8 +44,6 @@ from .states import (
     MeasurementSetting,
     TwoQubitState,
     bell_pair_ideal,
-    densify,
-    outcome_probabilities,
     rotate,
     rotation_matrix,
     werner,
@@ -121,14 +127,14 @@ class PulseSequence:
         if self.microwave_frequency <= 0.0:
             raise ValueError("microwave frequency must be positive")
 
-    def effective_setting(self, arrival_time: float) -> MeasurementSetting:
-        """Rotation actually applied, given the photon arrival time."""
+    @property
+    def effective_setting(self) -> MeasurementSetting:
+        """Rotation applied at zero arrival time (single-pulse precession adds 2*pi*f*t to phi)."""
         if self.mode == TWO_PULSE:
             return MeasurementSetting(
                 self.rotation_theta, self.rotation_phase - self.transfer_phase
             )
-        phase = self.rotation_phase + 2.0 * math.pi * self.microwave_frequency * arrival_time
-        return MeasurementSetting(self.rotation_theta, phase)
+        return self.nominal_setting
 
     @property
     def nominal_setting(self) -> MeasurementSetting:
@@ -218,83 +224,41 @@ def _herald(n_attempts: int, p_herald: float, rng: np.random.Generator) -> np.nd
     return np.sort(rng.choice(n_attempts, count, replace=False, shuffle=False))
 
 
-def _atom_batch(atom_state: np.ndarray) -> np.ndarray:
-    """One atom ket or density matrix as a batch of one."""
-    state = np.asarray(atom_state, dtype=complex)
-    if state.shape not in ((2,), (2, 2)):
-        raise ValueError(f"atom state must be a 2-vector or 2x2 matrix, got shape {state.shape}")
-    return state[None]
-
-
-def _phase(states: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """D psi for kets (n, 2), D rho D^dagger for density matrices (n, 2, 2); D = diag(1, d)."""
-    out = states.copy()
-    if states.ndim == 2:
-        out[:, 1] *= d
-    else:
-        out[:, 1, 0] *= d
-        out[:, 0, 1] *= d.conj()
-    return out
-
-
-def _rotate_stack(states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """U psi for kets (n, 2), U rho U^dagger for density matrices (n, 2, 2), as 2-D products."""
-    if states.ndim == 2:
-        return states @ u.T
-    right = (states.reshape(-1, 2) @ u.conj().T).reshape(states.shape)  # rho U^dagger
-    return (right.swapaxes(1, 2).reshape(-1, 2) @ u.T).reshape(states.shape).swapaxes(1, 2)
-
-
-def _apply_pulses(states: np.ndarray, seq: PulseSequence, arrival_time: np.ndarray) -> np.ndarray:
-    """Rotate a batch of atom kets (n, 2) or density matrices (n, 2, 2).
-
-    Two-pulse mode applies one constant rotation U.  In single-pulse mode
-    precession adds a = 2*pi*f*t to the rotation azimuth, and
-    U(theta, phi + a) = D U(theta, phi) D^dagger with D = diag(1, e^{ia}):
-    the states are phased by D^dagger, rotated by the same constant U and
-    phased back by D.
-    """
-    u = rotation_matrix(seq.effective_setting(0.0))
-    if seq.mode == TWO_PULSE:
-        return _rotate_stack(states, u)
-    d = np.exp(2j * math.pi * seq.microwave_frequency * arrival_time)
-    return _phase(_rotate_stack(_phase(states, d.conj()), u), d)
-
-
-def apply_pulse_sequence(
-    atom_state: np.ndarray, seq: PulseSequence, arrival_time: float
-) -> np.ndarray:
-    """Apply the microwave sequence to a single-qubit atom state.
-
-    Accepts a length-2 ket or a 2x2 density matrix and returns the same
-    kind.  The transfer pulse relabels |1> -> |1~> in place; in two-pulse
-    mode its phase is absorbed into the rotation so the map depends only
-    on the pulse phase difference.
-    """
-    return _apply_pulses(_atom_batch(atom_state), seq, np.array([arrival_time]))[0]
-
-
-def _photon_marginal_and_conditionals(
-    state: TwoQubitState | DensityMatrix,
+def _photon_stage(
+    source: SourceParams, photon_setting: MeasurementSetting
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Photon outcome probabilities and the atom states (kets or matrices) they leave.
+    """Photon marginal of the emitted pair and the atom density matrices it leaves.
 
     Stacked as (given outcome 0, given outcome 1, ground); the ground state
     stands in for an outcome that never occurs and follows a dark click.
     """
+    state = rotate(source.emitted_state(), PHOTON, photon_setting)
     if isinstance(state, TwoQubitState):
-        blocks = state.amplitudes.reshape(2, 2).T  # [p, s]
-        probs = np.sum(np.abs(blocks) ** 2, axis=1)
-        norms = np.sqrt(probs)
-        ground = np.array([1.0, 0.0], dtype=complex)
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
     else:
-        rho = densify(state).matrix.reshape(2, 2, 2, 2)  # [s, p, s', p']
-        blocks = np.einsum("spap->psa", rho)
-        probs = np.clip(np.real(np.einsum("pss->p", blocks)), 0.0, 1.0)
-        norms = probs
-        ground = np.diag([1.0, 0.0]).astype(complex)
-    atoms = [block / norm if norm > 0.0 else ground for block, norm in zip(blocks, norms)]
+        rho = state.matrix
+    blocks = np.einsum("spap->psa", rho.reshape(2, 2, 2, 2))  # [p, s, s']
+    probs = np.clip(np.real(np.einsum("pss->p", blocks)), 0.0, 1.0)
+    ground = np.diag([1.0, 0.0]).astype(complex)
+    atoms = [block / p if p > 0.0 else ground for block, p in zip(blocks, probs)]
     return probs, np.stack([*atoms, ground])
+
+
+def _readout_coefficients(
+    atoms: np.ndarray, pulse: PulseSequence
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of p_bright = A + Re(B e^{-ia}) for a stack of atom density matrices."""
+    u0, u1 = rotation_matrix(pulse.effective_setting)[0]
+    a = abs(u0) ** 2 * atoms[:, 0, 0].real + abs(u1) ** 2 * atoms[:, 1, 1].real
+    return a, 2.0 * u1 * u0.conjugate() * atoms[:, 1, 0]
+
+
+def _atom_stage(
+    source: SourceParams, pulse: PulseSequence, photon_setting: MeasurementSetting
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Photon marginal and the (A, B) of the atom states it leaves, once per sampler call."""
+    probs, atoms = _photon_stage(source, photon_setting)
+    return (probs, *_readout_coefficients(atoms, pulse))
 
 
 def _detect_photons(
@@ -312,31 +276,16 @@ def _detect_photons(
     return outcome, pmt, accepted
 
 
-def _read_out(states: np.ndarray, det: DetectorParams, rng: np.random.Generator) -> np.ndarray:
-    """Fluorescence readout of a batch of kets or density matrices, with label flips."""
-    p_bright = np.abs(states[:, 0]) ** 2 if states.ndim == 2 else np.real(states[:, 0, 0])
-    outcome = (rng.random(len(states)) >= p_bright).astype(np.int64)
+def _read_out(p_bright: np.ndarray, det: DetectorParams, rng: np.random.Generator) -> np.ndarray:
+    """Fluorescence readout of a batch of bright probabilities, with label flips."""
+    outcome = (rng.random(p_bright.size) >= p_bright).astype(np.int64)
     flip_probability = np.where(outcome == BRIGHT, det.atom_bright_error, det.atom_dark_error)
-    return outcome ^ (rng.random(len(states)) < flip_probability)
-
-
-def measure_atom(
-    atom_state: np.ndarray, det: DetectorParams, rng: np.random.Generator
-) -> int:
-    """Fluorescence readout: BRIGHT for |0>, DARK for |1~>, with label flips."""
-    return int(_read_out(_atom_batch(atom_state), det, rng)[0])
-
-
-def _photon_stage(
-    source: SourceParams, photon_setting: MeasurementSetting
-) -> tuple[np.ndarray, np.ndarray]:
-    """Photon marginal and conditional atom states of the emitted pair in the photon basis."""
-    return _photon_marginal_and_conditionals(rotate(source.emitted_state(), PHOTON, photon_setting))
+    return outcome ^ (rng.random(p_bright.size) < flip_probability)
 
 
 def _heralded_chain(
     index: np.ndarray,
-    photon: tuple[np.ndarray, np.ndarray],
+    stage: tuple[np.ndarray, np.ndarray, np.ndarray],
     source: SourceParams,
     pulse: PulseSequence,
     photon_setting: MeasurementSetting,
@@ -346,20 +295,20 @@ def _heralded_chain(
 ) -> list[EventRecord]:
     """Recorded events of a batch of heralded attempts, at most ``limit`` of them.
 
-    ``photon`` is the sampler call's ``_photon_stage``.  Two-pulse mode,
-    which ignores arrival time, rotates its three atom states once per batch.
+    ``stage`` is the sampler call's ``_atom_stage``.
     """
-    probs, atom_states = photon
+    probs, a, b = stage
     dark = rng.random(index.size) < _herald_probability(source, det)[1]
     outcome, pmt, accepted = _detect_photons(probs[0], dark, det, rng)
     which = np.where(dark, 2, outcome)[accepted][:limit]
     index, pmt = index[accepted][:limit], pmt[accepted][:limit]
     arrival = rng.uniform(0.0, source.excitation_window, index.size)
     if pulse.mode == TWO_PULSE:
-        atoms = _apply_pulses(atom_states, pulse, np.zeros(3))[which]
+        p_bright = (a + b.real)[which]
     else:
-        atoms = _apply_pulses(atom_states[which], pulse, arrival)
-    atom_outcome = _read_out(atoms, det, rng)
+        precession = np.exp(-2j * math.pi * pulse.microwave_frequency * arrival)
+        p_bright = a[which] + (b[which] * precession).real
+    atom_outcome = _read_out(p_bright, det, rng)
     columns = (
         index.tolist(),
         arrival.tolist(),
@@ -392,7 +341,7 @@ def simulate_attempts(
     if index.size == 0:
         return []
     return _heralded_chain(
-        index, _photon_stage(source, photon_setting), source, pulse, photon_setting, det, rng
+        index, _atom_stage(source, pulse, photon_setting), source, pulse, photon_setting, det, rng
     )
 
 
@@ -404,27 +353,29 @@ def recorded_outcome_distribution(
 ) -> tuple[np.ndarray, float]:
     """Distribution of recorded (atom, PMT) outcomes for a fixed setting.
 
-    Valid for the two-pulse sequence, whose rotation does not depend on
-    the photon arrival time.  Dark events, when configured, enter with
-    their per-attempt weight against truly heralded events.  Returns
-    (probabilities ordered (atom, pmt) = 00, 01, 10, 11, acceptance)
-    where acceptance is the probability that a heralded photon click
-    survives PMT efficiency.
+    In single-pulse mode the precession factor e^{-ia} is averaged over a
+    uniform arrival time in the excitation window: its mean is conj(chi),
+    chi = sinc(fT) e^{i pi fT}, which stays exact as fT -> 0.  Dark
+    events, when configured, enter with their per-attempt weight against
+    truly heralded events.  Returns (probabilities ordered (atom, pmt) =
+    00, 01, 10, 11, acceptance) where acceptance is the probability that a
+    heralded photon click survives PMT efficiency.
     """
-    if pulse.mode != TWO_PULSE:
-        raise ValueError("closed-form outcome distribution requires the two-pulse sequence")
-    fractions = outcome_probabilities(
-        source.emitted_state(), pulse.effective_setting(0.0), photon_setting
-    ).as_array()
-    joint = fractions.reshape(2, 2)  # [atom, photon outcome]
-
+    probs, a, b = _atom_stage(source, pulse, photon_setting)
+    if pulse.mode == TWO_PULSE:
+        p_bright = a + b.real
+    else:
+        ft = pulse.microwave_frequency * source.excitation_window
+        p_bright = a + (b * np.sinc(ft) * np.exp(-1j * math.pi * ft)).real
+    p_bright = np.clip(p_bright, 0.0, 1.0)
+    atom = np.array([p_bright, 1.0 - p_bright])  # [atom, (outcome 0, outcome 1, ground)]
     flip = np.array(
         [
             [1.0 - det.atom_bright_error, det.atom_dark_error],
             [det.atom_bright_error, 1.0 - det.atom_dark_error],
         ]
     )
-    joint = flip @ joint  # rows: recorded atom label
+    joint = flip @ (atom[:, :2] * probs)  # [recorded atom label, photon outcome]
 
     swapped = int(det.pmt_role_swapped)
     recorded = np.empty((2, 2))
@@ -436,9 +387,7 @@ def recorded_outcome_distribution(
     total = p_true * recorded
     if det.dark_event_probability > 0.0:
         # atom never excited: ground state through the same pulse sequence
-        u = rotation_matrix(pulse.effective_setting(0.0))
-        ground = np.array([abs(u[0, 0]) ** 2, abs(u[1, 0]) ** 2])
-        dark_joint = np.outer(flip @ ground, [0.5, 0.5])
+        dark_joint = np.outer(flip @ atom[:, 2], [0.5, 0.5])
         total = total + (1.0 - p_true) * det.dark_event_probability * dark_joint
     weight = float(total.sum())
     if weight <= 0.0:
@@ -481,8 +430,8 @@ def iter_heralded_events(
     Attempts are drawn in batches sized from the exact acceptance.
     """
     _, dark_share = _herald_probability(source, det)
-    photon = _photon_stage(source, photon_setting)
-    probs = photon[0]
+    stage = _atom_stage(source, pulse, photon_setting)
+    probs = stage[0]
     swapped = int(det.pmt_role_swapped)
     photon_acceptance = sum(probs[o] * det.pmt_efficiency(o ^ swapped) for o in range(2))
     acceptance = dark_share + (1.0 - dark_share) * photon_acceptance
@@ -493,7 +442,7 @@ def iter_heralded_events(
     while need > 0:
         batch = math.ceil(min(_ATTEMPT_CHUNK, need / acceptance))
         events = _heralded_chain(
-            offset + np.arange(batch), photon, source, pulse, photon_setting, det, rng, need
+            offset + np.arange(batch), stage, source, pulse, photon_setting, det, rng, need
         )
         need -= len(events)
         offset += batch

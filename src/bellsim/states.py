@@ -120,7 +120,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        # A copy, so that freezing it below leaves the caller's array writable.
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
         # A non-finite entry fails here; checked first, inf - inf would warn.

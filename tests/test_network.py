@@ -25,7 +25,7 @@ from bellsim.network import (
     photon_midpoint_distance,
     photon_survival,
     swap_conditional_states,
-    swap_outcome_probabilities,
+    _outcome_probabilities,
 )
 from bellsim.states import (
     DensityMatrix,
@@ -204,7 +204,9 @@ class TestEntanglementSwap:
 
     def test_sampled_success_rate(self):
         rng = np.random.default_rng(29)
-        probabilities = swap_outcome_probabilities(bell_pair_ideal(), bell_pair_ideal())
+        probabilities = _outcome_probabilities(
+            swap_conditional_states(bell_pair_ideal(), bell_pair_ideal())
+        )
         n = 100_000
         counts = rng.multinomial(
             n, [probabilities[PSI_PLUS], probabilities[PSI_MINUS], probabilities[BSA_FAIL]]
@@ -239,7 +241,9 @@ class TestEntanglementSwap:
         # outcome heralds with exactly 1/4 whatever the mixing
         for p_a in np.linspace(0.0, 1.0, 11):
             for p_b in np.linspace(0.0, 1.0, 11):
-                probabilities = swap_outcome_probabilities(werner(p_a), werner(p_b))
+                probabilities = _outcome_probabilities(
+                    swap_conditional_states(werner(p_a), werner(p_b))
+                )
                 assert probabilities[PSI_PLUS] == pytest.approx(0.25, abs=1e-12)
                 assert probabilities[PSI_MINUS] == pytest.approx(0.25, abs=1e-12)
                 assert probabilities[BSA_FAIL] == pytest.approx(0.5, abs=1e-12)

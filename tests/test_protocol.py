@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +19,12 @@ from bellsim.protocol import (
     EventRecord,
     PulseSequence,
     SourceParams,
-    apply_pulse_sequence,
     iter_heralded_events,
-    measure_atom,
     recorded_outcome_distribution,
     sample_outcome_counts,
     simulate_attempts,
-    _apply_pulses,
+    _read_out,
+    _readout_coefficients,
 )
 from bellsim.states import (
     MeasurementSetting,
@@ -34,6 +34,12 @@ from bellsim.states import (
 )
 
 angle = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+def _atoms(state: np.ndarray) -> np.ndarray:
+    """One atom ket or 2x2 density matrix as a stack of one density matrix."""
+    rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+    return np.asarray(rho, dtype=complex)[None]
 
 
 class TestSourceParams:
@@ -59,76 +65,73 @@ class TestPulseSequence:
             PulseSequence(mode="three_pulse", rotation_theta=0.1)
 
     def test_two_pulse_common_offset_leaves_state_unchanged(self, rng):
-        state = np.array([0.6, 0.8j])
+        atom = _atoms(np.array([0.6, 0.8j]))
         for _ in range(20):
             theta = rng.uniform(0.0, math.pi)
             phi = rng.uniform(0.0, 2.0 * math.pi)
             transfer = rng.uniform(0.0, 2.0 * math.pi)
             offset = rng.uniform(-10.0, 10.0)
-            base = apply_pulse_sequence(
-                state, PulseSequence(TWO_PULSE, theta, phi, transfer), arrival_time=0.0
+            base = _readout_coefficients(atom, PulseSequence(TWO_PULSE, theta, phi, transfer))
+            shifted = _readout_coefficients(
+                atom, PulseSequence(TWO_PULSE, theta, phi + offset, transfer + offset)
             )
-            shifted = apply_pulse_sequence(
-                state,
-                PulseSequence(TWO_PULSE, theta, phi + offset, transfer + offset),
-                arrival_time=0.0,
-            )
-            np.testing.assert_allclose(shifted, base, atol=1e-12)
+            np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-12)
 
     def test_zero_theta_is_transfer_only(self):
         # theta = 0: populations move |1> -> |1~> untouched
-        state = np.array([0.6, 0.8])
-        out = apply_pulse_sequence(state, PulseSequence(TWO_PULSE, 0.0), arrival_time=0.0)
-        np.testing.assert_allclose(np.abs(out) ** 2, np.abs(state) ** 2, atol=1e-15)
+        a, b = _readout_coefficients(_atoms(np.array([0.6, 0.8])), PulseSequence(TWO_PULSE, 0.0))
+        np.testing.assert_allclose([a[0], abs(b[0])], [0.36, 0.0], atol=1e-15)
 
     def test_single_pulse_phase_tracks_arrival_time(self):
+        # a quarter precession period adds pi/2 to the rotation azimuth
+        atom = _atoms(np.array([0.6, 0.8j]))
         seq = PulseSequence(SINGLE_PULSE, math.pi / 2, rotation_phase=0.0)
-        setting = seq.effective_setting(arrival_time=1.0 / (4.0 * seq.microwave_frequency))
-        assert setting.phi == pytest.approx(math.pi / 2, abs=1e-9)
+        a, b = _readout_coefficients(atom, seq)
+        quarter = a[0] + (b[0] * np.exp(-0.5j * math.pi)).real  # a = 2 pi f / (4 f)
+        a_turned, b_turned = _readout_coefficients(atom, replace(seq, rotation_phase=math.pi / 2))
+        assert quarter == pytest.approx(a_turned[0] + b_turned[0].real, abs=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         theta=angle,
         phi=angle,
         frequency=st.floats(min_value=1e6, max_value=2e10),
-        density=st.booleans(),
+        mixed=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_single_pulse_batch_matches_per_event_rotation(
-        self, theta, phi, frequency, density, seed
+        self, theta, phi, frequency, mixed, seed
     ):
         # Per event: U_t = D U D^dagger with D = diag(1, e^{2 pi i f t}).
         rng = np.random.default_rng(seed)
         n = 12
         arrival = rng.uniform(0.0, 50e-9, n)
         amplitudes = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-        if density:
-            states = amplitudes @ np.conj(np.swapaxes(amplitudes, 1, 2))
-            states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
-        else:
-            states = amplitudes[:, 0] / np.linalg.norm(amplitudes[:, 0], axis=1, keepdims=True)
+        if not mixed:
+            amplitudes[:, :, 1] = 0.0
+        states = amplitudes @ np.conj(np.swapaxes(amplitudes, 1, 2))
+        states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
         seq = PulseSequence(SINGLE_PULSE, theta, phi, microwave_frequency=frequency)
         u = rotation_matrix(MeasurementSetting(theta, phi))
         expected = []
         for state, t in zip(states, arrival):
             d = np.diag([1.0, np.exp(2j * math.pi * frequency * t)])
             u_t = d @ u @ d.conj().T
-            expected.append(u_t @ state @ u_t.conj().T if density else u_t @ state)
-        np.testing.assert_allclose(_apply_pulses(states, seq, arrival), expected, rtol=0, atol=1e-12)
+            expected.append((u_t @ state @ u_t.conj().T)[0, 0].real)
+        a, b = _readout_coefficients(states, seq)
+        p_bright = a + (b * np.exp(-2j * math.pi * frequency * arrival)).real
+        np.testing.assert_allclose(p_bright, expected, rtol=0, atol=1e-12)
 
     def test_single_pulse_washout(self):
         # uniform arrivals across a 50 ns window at 14.5 GHz erase the contrast
         rng = np.random.default_rng(99)
         seq = PulseSequence(SINGLE_PULSE, math.pi / 2)
-        det = DetectorParams()
         window = 50e-9
-        plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         n = 10_000
-        bright = 0
-        for _ in range(n):
-            arrival = rng.uniform(0.0, window)
-            state = apply_pulse_sequence(plus, seq, arrival)
-            bright += measure_atom(state, det, rng) == BRIGHT
+        a, b = _readout_coefficients(_atoms(np.array([1.0, 1.0]) / math.sqrt(2.0)), seq)
+        arrival = rng.uniform(0.0, window, n)
+        p_bright = a[0] + (b[0] * np.exp(-2j * math.pi * seq.microwave_frequency * arrival)).real
+        bright = np.count_nonzero(_read_out(p_bright, DetectorParams(), rng) == BRIGHT)
         assert abs(bright / n - 0.5) < 5.0 / math.sqrt(n)
 
 
@@ -158,29 +161,25 @@ class TestMeasurePhoton:
 
 class TestMeasureAtom:
     def test_pure_dark_state(self, rng):
-        dark = np.array([0.0, 1.0])
-        assert all(measure_atom(dark, DetectorParams(), rng) == DARK for _ in range(100))
+        assert np.all(_read_out(np.zeros(100), DetectorParams(), rng) == DARK)
 
     def test_misclassification_accuracy(self):
         rng = np.random.default_rng(3)
         det = DetectorParams.experiment_like()
         n = 40_000
-        correct_bright = sum(
-            measure_atom(np.array([1.0, 0.0]), det, rng) == BRIGHT for _ in range(n)
-        )
-        correct_dark = sum(
-            measure_atom(np.array([0.0, 1.0]), det, rng) == DARK for _ in range(n)
-        )
+        correct_bright = np.count_nonzero(_read_out(np.ones(n), det, rng) == BRIGHT)
+        correct_dark = np.count_nonzero(_read_out(np.zeros(n), det, rng) == DARK)
         sigma = math.sqrt(n * 0.975 * 0.025)
         assert abs(correct_bright - 0.975 * n) < 5.0 * sigma
         assert abs(correct_dark - 0.975 * n) < 5.0 * sigma
 
     def test_maximally_mixed_atom_is_unbiased(self):
         rng = np.random.default_rng(4)
-        mixed = np.eye(2, dtype=complex) / 2.0
+        mixed = _atoms(np.eye(2, dtype=complex) / 2.0)
+        a, b = _readout_coefficients(mixed, PulseSequence(TWO_PULSE, 1.1, 0.4))
         det = DetectorParams(atom_bright_error=0.3, atom_dark_error=0.3)
         n = 40_000
-        bright = sum(measure_atom(mixed, det, rng) == BRIGHT for _ in range(n))
+        bright = np.count_nonzero(_read_out(np.full(n, a[0] + b[0].real), det, rng) == BRIGHT)
         assert abs(bright / n - 0.5) < 5.0 / (2.0 * math.sqrt(n))
 
 
@@ -325,13 +324,16 @@ class TestSamplingConsistency:
         dark_error=st.floats(0.0, 0.2),
         dark_event_probability=st.floats(0.0, 1e-3),
         swapped=st.booleans(),
+        mode=st.sampled_from([TWO_PULSE, SINGLE_PULSE]),
+        window=st.floats(1e-13, 5e-8),
+        rotation_phase=st.floats(0.0, 2.0 * math.pi),
     )
     def test_event_chain_matches_closed_form_everywhere(
         self, werner_p, theta_atom, theta_photon, pmt_efficiency_1, pmt_efficiency_2,
-        bright_error, dark_error, dark_event_probability, swapped,
+        bright_error, dark_error, dark_event_probability, swapped, mode, window, rotation_phase,
     ):
-        source = SourceParams(werner_p=werner_p)
-        pulse = PulseSequence(TWO_PULSE, theta_atom)
+        source = SourceParams(werner_p=werner_p, excitation_window=window)
+        pulse = PulseSequence(mode, theta_atom, rotation_phase)
         setting_p = MeasurementSetting(theta_photon)
         det = DetectorParams(
             pmt_efficiency_1=pmt_efficiency_1,
@@ -352,15 +354,6 @@ class TestSamplingConsistency:
         for observed, f in zip(counts, expected):
             band = 5.0 * math.sqrt(f * (1.0 - f) / n)
             assert abs(observed / n - f) <= band
-
-    def test_distribution_rejects_single_pulse_mode(self):
-        with pytest.raises(ValueError, match="two-pulse"):
-            recorded_outcome_distribution(
-                SourceParams(),
-                PulseSequence(SINGLE_PULSE, 0.3),
-                MeasurementSetting(0.0),
-                DetectorParams(),
-            )
 
     def test_acceptance_factor_reflects_pmt_loss(self):
         source = SourceParams()
@@ -484,7 +477,7 @@ def _single_pulse_oracle(werner_p, pulse, theta_photon, det, window) -> np.ndarr
 
 
 class TestSinglePulseChain:
-    @pytest.mark.parametrize(
+    points = pytest.mark.parametrize(
         "werner_p, window, rotation_phase",
         [
             (1.0, 50e-9, 0.0),  # 725 precession periods: the azimuth washes out
@@ -492,28 +485,40 @@ class TestSinglePulseChain:
             (0.82667, 1e-11, 0.7),
         ],
     )
+    theta_photon = math.pi / 4
+    det = DetectorParams(
+        pmt_efficiency_1=0.9,
+        pmt_efficiency_2=0.6,
+        atom_bright_error=0.03,
+        atom_dark_error=0.05,
+        waveplate_angle=math.pi / 4,
+    )
+
+    @points
     def test_tallies_match_arrival_averaged_oracle(self, werner_p, window, rotation_phase):
         source = SourceParams(werner_p=werner_p, excitation_window=window)
         pulse = PulseSequence(SINGLE_PULSE, math.pi / 2, rotation_phase=rotation_phase)
-        theta_photon = math.pi / 4
-        det = DetectorParams(
-            pmt_efficiency_1=0.9,
-            pmt_efficiency_2=0.6,
-            atom_bright_error=0.03,
-            atom_dark_error=0.05,
-            waveplate_angle=math.pi / 4,
-        )
         n = 20_000
         counts = _tally_events(
             iter_heralded_events(
-                n, source, pulse, MeasurementSetting(theta_photon), det,
+                n, source, pulse, MeasurementSetting(self.theta_photon), self.det,
                 np.random.default_rng(101),
             )
         )
-        expected = _single_pulse_oracle(werner_p, pulse, theta_photon, det, window)
+        expected = _single_pulse_oracle(werner_p, pulse, self.theta_photon, self.det, window)
         for observed, f in zip(counts, expected):
             band = 5.0 * math.sqrt(f * (1.0 - f) / n)
             assert abs(observed / n - f) <= band
+
+    @points
+    def test_closed_form_matches_arrival_averaged_oracle(self, werner_p, window, rotation_phase):
+        source = SourceParams(werner_p=werner_p, excitation_window=window)
+        pulse = PulseSequence(SINGLE_PULSE, math.pi / 2, rotation_phase=rotation_phase)
+        expected, _ = recorded_outcome_distribution(
+            source, pulse, MeasurementSetting(self.theta_photon), self.det
+        )
+        oracle = _single_pulse_oracle(werner_p, pulse, self.theta_photon, self.det, window)
+        np.testing.assert_allclose(expected, oracle, rtol=0, atol=1e-7)
 
 
 class TestAttemptIndices:

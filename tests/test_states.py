@@ -124,6 +124,13 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(m)
 
+    def test_density_matrix_leaves_the_callers_array_writable(self):
+        m = np.eye(4, dtype=complex) / 4.0
+        rho = DensityMatrix(m)
+        m[0, 1] = 0.1
+        assert rho.matrix[0, 1] == 0.0
+        assert not rho.matrix.flags.writeable
+
     def test_outcome_fractions_validate(self):
         with pytest.raises(ValueError, match="sum"):
             OutcomeFractions(0.5, 0.5, 0.5, 0.5)
