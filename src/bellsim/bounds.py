@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,18 +34,6 @@ from .states import (
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 LHV_BOUND = 2.0
-
-
-@dataclass(frozen=True)
-class FidelityConstraint:
-    """Target overlap F with the ideal pair, plus the analysis angles."""
-
-    fidelity: float
-    angles: BellAngles = field(default_factory=BellAngles.canonical)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fidelity <= 1.0:
-            raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -68,34 +56,16 @@ class ExtremalResult:
 
 
 @dataclass(frozen=True)
-class LhvStrategy:
-    """Deterministic local assignment: one outcome in {+1, -1} per setting."""
-
-    a1: int
-    a2: int
-    b1: int
-    b2: int
-
-    def __post_init__(self) -> None:
-        for value in (self.a1, self.a2, self.b1, self.b2):
-            if value not in (-1, 1):
-                raise ValueError("strategy outcomes must be +1 or -1")
-
-    def bell_value(self) -> float:
-        return bell_signal(
-            float(self.a2 * self.b2),
-            float(self.a1 * self.b2),
-            float(self.a2 * self.b1),
-            float(self.a1 * self.b1),
-        )
-
-
-@dataclass(frozen=True)
 class ScanResult:
     """Best Bell signal found on an ideal-pair angle grid."""
 
     bell_value: float
     thetas: tuple[float, float, float, float]  # (a1, a2, b1, b2)
+
+
+def _check_fidelity(f: float) -> None:
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"fidelity {f!r} outside [0, 1]")
 
 
 def extremal_bell_closed_form(f: float) -> tuple[float, float]:
@@ -104,8 +74,7 @@ def extremal_bell_closed_form(f: float) -> tuple[float, float]:
     max = 2*sqrt(2)*f, min = 2*sqrt(2)*(2f - 1); the minimum is the signed
     value and goes negative below f = 1/2.
     """
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"fidelity {f!r} outside [0, 1]")
+    _check_fidelity(f)
     return TSIRELSON_BOUND * (2.0 * f - 1.0), TSIRELSON_BOUND * f
 
 
@@ -165,8 +134,8 @@ def _abs_form_on_witness(rho: DensityMatrix, angles: BellAngles) -> float:
     return bell_signal(q[(2, 2)], q[(1, 2)], q[(2, 1)], q[(1, 1)])
 
 
-def extremal_bell_numeric(constraint: FidelityConstraint) -> ExtremalResult:
-    """Extremize the signed Bell signal over states with pinned fidelity.
+def extremal_bell_numeric(f: float, angles: BellAngles) -> ExtremalResult:
+    """Extremize the signed Bell signal at ``angles`` over states with fidelity f.
 
     Both extremes are solved exactly (``min`` as the maximum of -W); the
     result carries the extremal witness states, the absolute-value
@@ -174,9 +143,9 @@ def extremal_bell_numeric(constraint: FidelityConstraint) -> ExtremalResult:
     convergence flag (gap at most 1e-9).  Fidelities below 1/2 are allowed
     but flagged out-of-regime.
     """
-    operator = chsh_operator(constraint.angles)
+    _check_fidelity(f)
+    operator = chsh_operator(angles)
     target = bell_pair_ideal()
-    f = constraint.fidelity
     max_value, max_rho, max_gap = _max_expectation(operator, target.amplitudes, f)
     neg_min_value, min_rho, min_gap = _max_expectation(-operator, target.amplitudes, f)
     witness_max = DensityMatrix(0.5 * (max_rho + max_rho.conj().T))
@@ -190,33 +159,24 @@ def extremal_bell_numeric(constraint: FidelityConstraint) -> ExtremalResult:
         bell_max=max_value,
         witness_min=witness_min,
         witness_max=witness_max,
-        abs_form_min=_abs_form_on_witness(witness_min, constraint.angles),
-        abs_form_max=_abs_form_on_witness(witness_max, constraint.angles),
+        abs_form_min=_abs_form_on_witness(witness_min, angles),
+        abs_form_max=_abs_form_on_witness(witness_max, angles),
         duality_gap=gap,
         converged=bool(gap <= 1e-9),
         out_of_regime=f < 0.5,
     )
 
 
-def enumerate_strategies() -> list[tuple[LhvStrategy, float]]:
-    """All 16 deterministic local strategies with their Bell values."""
-    table = []
-    for a1, a2, b1, b2 in itertools.product((1, -1), repeat=4):
-        strategy = LhvStrategy(a1, a2, b1, b2)
-        table.append((strategy, strategy.bell_value()))
-    return table
-
-
-def lhv_enumerate() -> tuple[float, list[LhvStrategy]]:
-    """Maximum Bell signal over deterministic local strategies, with argmaxes.
+def enumerate_strategies() -> list[tuple[tuple[int, int, int, int], float]]:
+    """All 16 deterministic local strategies ((a1, a2, b1, b2), Bell value), outcomes +-1.
 
     Deterministic strategies are the extreme points of the local set, so
-    by convexity this bounds every stochastic local model.
+    by convexity the largest value bounds every stochastic local model.
     """
-    table = enumerate_strategies()
-    best = max(value for _, value in table)
-    argmax = [strategy for strategy, value in table if value >= best - 1e-12]
-    return best, argmax
+    return [
+        ((a1, a2, b1, b2), bell_signal(float(a2 * b2), float(a1 * b2), float(a2 * b1), float(a1 * b1)))
+        for a1, a2, b1, b2 in itertools.product((1, -1), repeat=4)
+    ]
 
 
 def tsirelson_scan(grid_resolution: int = 64) -> ScanResult:

@@ -294,14 +294,13 @@ def _bell_result_dict(result) -> dict[str, Any]:
 
 def cmd_chsh(config: dict[str, Any]) -> dict[str, Any]:
     """run both four-correlation Bell measurements"""
-    from .harness import SettingsPlan, reference_bell_results, run_experiment
+    from .harness import reference_bell_results, run_experiment
     from .protocol import DetectorParams, SourceParams
 
     report = _report_skeleton("chsh", config)
     if config["table1_fixture"]:
         first, second = reference_bell_results()
     else:
-        plan = SettingsPlan(events_per_setting=config["events_per_setting"])
         source = SourceParams(werner_p=config["werner_p"])
         det = DetectorParams(
             pmt_efficiency_1=config["pmt_efficiency_1"],
@@ -310,7 +309,9 @@ def cmd_chsh(config: dict[str, Any]) -> dict[str, Any]:
             atom_dark_error=config["atom_dark_error"],
             dark_event_probability=config["dark_event_probability"],
         )
-        first, second = run_experiment(plan, source, det, seed=config["seed"])
+        first, second = run_experiment(
+            config["events_per_setting"], source, det, seed=config["seed"]
+        )
     report["results"] = {
         "experiments": [
             {"experiment": 1, **_bell_result_dict(first)},
@@ -347,7 +348,7 @@ def _chsh_csv(report: dict[str, Any]) -> str:
 
 def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
     """fidelity-constrained Bell-signal window"""
-    from .bounds import FidelityConstraint, extremal_bell_closed_form, extremal_bell_numeric
+    from .bounds import extremal_bell_closed_form, extremal_bell_numeric
 
     if config["fidelity"] is None:
         raise ConfigError("bounds: a fidelity value is required (--fidelity or config)")
@@ -356,9 +357,8 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
     if len(angles_pi) != 4:
         raise ConfigError("bounds: angles_pi needs exactly four values (a1, a2, b1, b2)")
     angles = BellAngles.from_thetas(*(a * math.pi for a in angles_pi))
-    constraint = FidelityConstraint(f, angles=angles)
     closed_min, closed_max = extremal_bell_closed_form(f)
-    numeric = extremal_bell_numeric(constraint)
+    numeric = extremal_bell_numeric(f, angles)
     if numeric.out_of_regime:
         print(
             "warning: fidelity below 0.5 is outside the entangled regime; "
@@ -397,24 +397,17 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
 
 def cmd_lhv(config: dict[str, Any]) -> dict[str, Any]:
     """deterministic local strategies and angle scan"""
-    from .bounds import enumerate_strategies, lhv_enumerate, tsirelson_scan
+    from .bounds import enumerate_strategies, tsirelson_scan
 
     report = _report_skeleton("lhv", config)
     table = enumerate_strategies()
-    best, _ = lhv_enumerate()
     scan = tsirelson_scan(config["grid"])
     report["results"] = {
         "strategies": [
-            {
-                "a1": strategy.a1,
-                "a2": strategy.a2,
-                "b1": strategy.b1,
-                "b2": strategy.b2,
-                "bell_value": value,
-            }
+            {**dict(zip(("a1", "a2", "b1", "b2"), strategy)), "bell_value": value}
             for strategy, value in table
         ],
-        "max_bell": best,
+        "max_bell": max(value for _, value in table),
         "tsirelson_scan": {
             "grid_resolution": config["grid"],
             "bell_value": scan.bell_value,
@@ -511,8 +504,7 @@ def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
     from .network import PSI_MINUS, PSI_PLUS, LinkBudget, _outcome_probabilities, chain_latency
     from .network import adapted_bell_angles, heralded_ion_state, swap_conditional_states
 
-    pair_a = bell_pair_ideal() if config["werner_p_a"] == 1.0 else werner(config["werner_p_a"])
-    pair_b = bell_pair_ideal() if config["werner_p_b"] == 1.0 else werner(config["werner_p_b"])
+    pair_a, pair_b = werner(config["werner_p_a"]), werner(config["werner_p_b"])
     conditionals = swap_conditional_states(pair_a, pair_b)
     probabilities = _outcome_probabilities(conditionals)
     rng = np.random.default_rng(config["seed"])

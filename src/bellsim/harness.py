@@ -14,7 +14,7 @@ sigma_q = sqrt((1 - q^2)/N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .protocol import (
     SourceParams,
     sample_outcome_counts,
 )
-from .states import BellAngles, MeasurementSetting, bell_signal
+from .states import MeasurementSetting, bell_signal
 
 
 # Role-A and role-B analysis angles of both inequality measurements (azimuth zero).
@@ -33,77 +33,23 @@ _ROLE_A_THETAS = (0.0, math.pi / 2)
 _ROLE_B_THETAS = (math.pi / 4, 3 * math.pi / 4)
 
 
-def _ion_photon_thetas(experiment: int) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(ion angles, photon angles) of one inequality measurement."""
+def _role_order_settings(experiment: int) -> list[tuple[float, float]]:
+    """(theta_ion, theta_photon) pairs ordered (q11, q12, q21, q22).
+
+    Experiment 1 gives the ion the role-A angles (0, pi/2) and the photon
+    the role-B angles (pi/4, 3*pi/4); experiment 2 reverses the roles.
+    """
+    pairs = [(a, b) for a in _ROLE_A_THETAS for b in _ROLE_B_THETAS]
     if experiment == 1:
-        return _ROLE_A_THETAS, _ROLE_B_THETAS
+        return pairs
     if experiment == 2:
-        return _ROLE_B_THETAS, _ROLE_A_THETAS
+        return [(b, a) for a, b in pairs]  # role A is the photon
     raise ValueError(f"experiment index {experiment!r} must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class SettingsPlan:
-    """Angle grid of the two inequality measurements and the event budget.
-
-    Experiment 1 assigns the ion the role-A angles (0, pi/2) and the
-    photon the role-B angles (pi/4, 3*pi/4); experiment 2 reverses the
-    roles with photon angles (0, pi/2) and ion angles (pi/4, 3*pi/4).
-    All azimuths are zero.
-    """
-
-    events_per_setting: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.events_per_setting < 2:
-            raise ValueError("need at least 2 events per setting (two sub-runs)")
-
-    def experiment_settings(self, experiment: int) -> list[tuple[float, float]]:
-        """(theta_ion, theta_photon) pairs in published table order."""
-        ion, photon = _ion_photon_thetas(experiment)
-        return [(ts, tp) for ts in ion for tp in photon]
-
-    def bell_angles(self, experiment: int) -> BellAngles:
-        """Role-A angles (a1, a2) and role-B angles (b1, b2), the same in both experiments."""
-        _ion_photon_thetas(experiment)  # rejects an unknown experiment index
-        return BellAngles.from_thetas(*_ROLE_A_THETAS, *_ROLE_B_THETAS)
-
-    def role_order_settings(self, experiment: int) -> list[tuple[float, float]]:
-        """(theta_ion, theta_photon) pairs ordered (q11, q12, q21, q22)."""
-        ion, photon = _ion_photon_thetas(experiment)
-        if experiment == 1:
-            return [(a, b) for a in ion for b in photon]
-        return [(b, a) for a in photon for b in ion]  # role A is the photon
-
-
-@dataclass(frozen=True)
-class CorrelationTally:
-    """Outcome counts n[atom][photon] for one sub-run of a single setting."""
-
-    n00: int
-    n01: int
-    n10: int
-    n11: int
-    pmt_role_swapped: bool = False
-
-    def __post_init__(self) -> None:
-        if min(self.n00, self.n01, self.n10, self.n11) < 0:
-            raise ValueError("tally counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.n00 + self.n01 + self.n10 + self.n11
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray, pmt_role_swapped: bool = False) -> "CorrelationTally":
-        n00, n01, n10, n11 = (int(c) for c in np.asarray(counts).reshape(-1))
-        return cls(n00, n01, n10, n11, pmt_role_swapped)
-
-    def with_photon_relabeled(self) -> "CorrelationTally":
-        """Swap the photon outcome labels (PMT index -> polarization outcome)."""
-        return CorrelationTally(
-            self.n01, self.n00, self.n11, self.n10, not self.pmt_role_swapped
-        )
+def experiment_settings(experiment: int) -> list[tuple[float, float]]:
+    """(theta_ion, theta_photon) pairs in published table order."""
+    return sorted(_role_order_settings(experiment))
 
 
 @dataclass(frozen=True)
@@ -125,25 +71,31 @@ class BellResult:
     bell_value: float
     bell_sigma: float
     events_used: int
-    angles: BellAngles = field(default_factory=BellAngles.canonical)
 
     def __post_init__(self) -> None:
         if self.bell_sigma < 0.0 or self.bell_value < 0.0:
             raise ValueError("Bell value and its uncertainty must be non-negative")
 
 
-def estimate_correlation(tally: CorrelationTally) -> tuple[float, float]:
-    """Correlation (n00 + n11 - n01 - n10)/N and its multinomial sigma."""
-    total = tally.total
+def estimate_correlation(counts: np.ndarray) -> tuple[float, float]:
+    """Correlation (n00 + n11 - n01 - n10)/N and its multinomial sigma.
+
+    ``counts`` holds n[atom][photon] ordered 00, 01, 10, 11, as
+    ``sample_outcome_counts`` returns them.
+    """
+    n00, n01, n10, n11 = (int(c) for c in np.ravel(counts))
+    if min(n00, n01, n10, n11) < 0:
+        raise ValueError("tally counts must be non-negative")
+    total = n00 + n01 + n10 + n11
     if total < 1:
         raise ValueError("cannot estimate a correlation from an empty tally")
-    q = (tally.n00 + tally.n11 - tally.n01 - tally.n10) / total
+    q = (n00 + n11 - n01 - n10) / total
     sigma = math.sqrt(max(0.0, 1.0 - q * q) / total)
     return q, sigma
 
 
 def combine_swapped_runs(
-    tally_normal: CorrelationTally, tally_swapped: CorrelationTally
+    counts_normal: np.ndarray, counts_swapped: np.ndarray
 ) -> tuple[float, float]:
     """Equal-weight combination of the two PMT-role sub-runs.
 
@@ -152,10 +104,8 @@ def combine_swapped_runs(
     estimating.  Each run is weighted equally regardless of its count, so
     PMT-efficiency asymmetry cancels to first order.
     """
-    if tally_normal.total < 1 or tally_swapped.total < 1:
-        raise ValueError("both sub-runs must contain events")
-    q1, sigma1 = estimate_correlation(tally_normal)
-    q2, sigma2 = estimate_correlation(tally_swapped.with_photon_relabeled())
+    q1, sigma1 = estimate_correlation(counts_normal)
+    q2, sigma2 = estimate_correlation(np.reshape(counts_swapped, (2, 2))[:, ::-1])
     q = 0.5 * (q1 + q2)
     sigma = 0.5 * math.sqrt(sigma1 * sigma1 + sigma2 * sigma2)
     return q, sigma
@@ -180,36 +130,32 @@ REFERENCE_SIGMA_Q = 0.014  # back-solved from the published +/- 0.028
 
 def reference_bell_results() -> tuple[BellResult, BellResult]:
     """Recompute both reference Bell signals from the published correlations."""
-    plan = SettingsPlan()
-    results = []
-    for experiment, table in ((1, REFERENCE_CORRELATIONS_1), (2, REFERENCE_CORRELATIONS_2)):
-        estimates = {key: (q, REFERENCE_SIGMA_Q) for key, q in table.items()}
-        results.append(_assemble_result(plan, experiment, estimates, events_used=0))
-    return results[0], results[1]
+    first, second = (
+        _assemble_result(experiment, {key: (q, REFERENCE_SIGMA_Q) for key, q in table.items()}, 0)
+        for experiment, table in ((1, REFERENCE_CORRELATIONS_1), (2, REFERENCE_CORRELATIONS_2))
+    )
+    return first, second
 
 
 def _assemble_result(
-    plan: SettingsPlan,
     experiment: int,
     by_setting: dict[tuple[float, float], tuple[float, float]],
-    events_used: int,
+    events_per_setting: int,
 ) -> BellResult:
     """Build a BellResult from per-setting (q, sigma) estimates keyed (theta_ion, theta_photon).
 
     ``qij`` is the correlation at role-A setting i and role-B setting j;
     sigma_B adds the four sigma_q in quadrature.
     """
-    q11, q12, q21, q22 = (by_setting[key] for key in plan.role_order_settings(experiment))
-    per_setting = plan.events_per_setting if events_used else 0
+    q11, q12, q21, q22 = (by_setting[key] for key in _role_order_settings(experiment))
     return BellResult(
         correlations=tuple(
-            SettingEstimate(ts, tp, *by_setting[(ts, tp)], per_setting)
-            for ts, tp in plan.experiment_settings(experiment)
+            SettingEstimate(ts, tp, *by_setting[(ts, tp)], events_per_setting)
+            for ts, tp in experiment_settings(experiment)
         ),
         bell_value=bell_signal(q22[0], q12[0], q21[0], q11[0]),
         bell_sigma=math.sqrt(sum(s * s for _, s in (q11, q12, q21, q22))),
-        events_used=events_used,
-        angles=plan.bell_angles(experiment),
+        events_used=4 * events_per_setting,
     )
 
 
@@ -233,13 +179,11 @@ def _measure_setting(
     counts_swapped = sample_outcome_counts(
         n_swapped, source, pulse, photon_setting, det.with_swapped_pmts(), rng_swapped
     )
-    tally_normal = CorrelationTally.from_counts(counts_normal, pmt_role_swapped=False)
-    tally_swapped = CorrelationTally.from_counts(counts_swapped, pmt_role_swapped=True)
-    return combine_swapped_runs(tally_normal, tally_swapped)
+    return combine_swapped_runs(counts_normal, counts_swapped)
 
 
 def run_experiment(
-    plan: SettingsPlan,
+    events_per_setting: int,
     source: SourceParams,
     det: DetectorParams,
     seed: int,
@@ -247,30 +191,21 @@ def run_experiment(
     """Run both complete inequality measurements.
 
     Every (experiment, setting) pair owns independent seeded streams
-    spawned in a fixed order, so results do not depend on the execution
-    schedule.
+    spawned in a fixed order (experiment 1 in table order, then
+    experiment 2), so results do not depend on the execution schedule.
     """
+    if events_per_setting < 2:
+        raise ValueError("need at least 2 events per setting (two sub-runs)")
     if det.pmt_role_swapped:
         raise ValueError("pass the normal-role detector config; sub-runs swap internally")
-    root = np.random.SeedSequence(seed)
-    tasks = []
-    for experiment in (1, 2):
-        for theta_ion, theta_photon in plan.experiment_settings(experiment):
-            tasks.append((experiment, theta_ion, theta_photon))
-    streams = root.spawn(len(tasks))
-
-    outcomes = []
-    for (experiment, theta_ion, theta_photon), stream in zip(tasks, streams):
-        estimate = _measure_setting(
-            theta_ion, theta_photon, plan.events_per_setting, source, det, stream
+    tasks = [(e, setting) for e in (1, 2) for setting in experiment_settings(e)]
+    streams = np.random.SeedSequence(seed).spawn(len(tasks))
+    by_setting: dict[int, dict[tuple[float, float], tuple[float, float]]] = {1: {}, 2: {}}
+    for (experiment, setting), stream in zip(tasks, streams):
+        by_setting[experiment][setting] = _measure_setting(
+            *setting, events_per_setting, source, det, stream
         )
-        outcomes.append((experiment, (theta_ion, theta_photon), estimate))
-
-    results = []
-    for experiment in (1, 2):
-        by_setting = {
-            setting: estimate for exp, setting, estimate in outcomes if exp == experiment
-        }
-        events = 4 * plan.events_per_setting
-        results.append(_assemble_result(plan, experiment, by_setting, events_used=events))
-    return results[0], results[1]
+    return (
+        _assemble_result(1, by_setting[1], events_per_setting),
+        _assemble_result(2, by_setting[2], events_per_setting),
+    )

@@ -427,15 +427,17 @@ def iter_heralded_events(
     this runs the same chain as ``simulate_attempts`` minus the herald draw.
     Rejected photon detections still cost a retry, as in the hardware,
     and configured dark events enter with their per-attempt weight.
-    Attempts are drawn in batches sized from the exact acceptance.
+    Attempts are drawn in batches sized from the exact acceptance.  A
+    source that never heralds, or heralds nothing that is recorded,
+    raises ``ValueError``, as ``recorded_outcome_distribution`` does.
     """
-    _, dark_share = _herald_probability(source, det)
+    p_herald, dark_share = _herald_probability(source, det)
     stage = _atom_stage(source, pulse, photon_setting)
     probs = stage[0]
     swapped = int(det.pmt_role_swapped)
     photon_acceptance = sum(probs[o] * det.pmt_efficiency(o ^ swapped) for o in range(2))
     acceptance = dark_share + (1.0 - dark_share) * photon_acceptance
-    if acceptance <= 0.0:
+    if p_herald == 0.0 or acceptance <= 0.0:
         raise ValueError("no outcome is ever recorded with these detector settings")
     need = n_events
     offset = 0

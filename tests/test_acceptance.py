@@ -12,13 +12,12 @@ import time
 import numpy as np
 
 from bellsim.bounds import (
-    FidelityConstraint,
+    enumerate_strategies,
     extremal_bell_closed_form,
     extremal_bell_numeric,
-    lhv_enumerate,
     tsirelson_scan,
 )
-from bellsim.harness import SettingsPlan, reference_bell_results, run_experiment
+from bellsim.harness import reference_bell_results, run_experiment
 from bellsim.network import (
     PSI_MINUS,
     PSI_PLUS,
@@ -41,6 +40,7 @@ from bellsim.protocol import (
     _readout_coefficients,
 )
 from bellsim.states import (
+    BellAngles,
     MeasurementSetting,
     bell_pair_ideal,
     bell_signal,
@@ -91,7 +91,7 @@ def test_criterion_03_correlation_law_on_grid():
 def test_criterion_04_fidelity_window():
     start = time.time()
     closed_min, closed_max = extremal_bell_closed_form(0.87)
-    numeric = extremal_bell_numeric(FidelityConstraint(0.87))
+    numeric = extremal_bell_numeric(0.87, BellAngles.canonical())
     elapsed = time.time() - start
     ok = (
         abs(closed_min - 2.0930) <= 5e-5
@@ -110,7 +110,7 @@ def test_criterion_04_fidelity_window():
 
 
 def test_criterion_05_lhv_ceiling_and_tsirelson_scan():
-    best, _ = lhv_enumerate()
+    best = max(value for _, value in enumerate_strategies())
     scan = tsirelson_scan(64)
     ok = best == 2.0 and abs(scan.bell_value - TSIRELSON) <= 1e-9
     _report(
@@ -122,10 +122,9 @@ def test_criterion_05_lhv_ceiling_and_tsirelson_scan():
 
 def test_criterion_06_monte_carlo_convergence():
     start = time.time()
-    plan = SettingsPlan(events_per_setting=100_000)
     det = DetectorParams()
-    ideal = run_experiment(plan, SourceParams(), det, seed=42)
-    werner_run = run_experiment(plan, SourceParams(werner_p=0.82667), det, seed=42)
+    ideal = run_experiment(100_000, SourceParams(), det, seed=42)
+    werner_run = run_experiment(100_000, SourceParams(werner_p=0.82667), det, seed=42)
     elapsed = time.time() - start
     ok = elapsed < 60.0
     for result in ideal:
@@ -140,8 +139,7 @@ def test_criterion_06_monte_carlo_convergence():
 
 
 def test_criterion_07_statistical_scale():
-    plan = SettingsPlan(events_per_setting=2000)
-    first, second = run_experiment(plan, SourceParams(werner_p=0.82667), DetectorParams(), seed=6)
+    first, second = run_experiment(2000, SourceParams(werner_p=0.82667), DetectorParams(), seed=6)
     sigmas = [first.bell_sigma, second.bell_sigma]
     ok = all(0.02 <= s <= 0.05 for s in sigmas) and 0.02 <= 0.028 <= 0.05
     _report(

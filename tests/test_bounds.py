@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 from bellsim.bounds import (
     LHV_BOUND,
     TSIRELSON_BOUND,
-    FidelityConstraint,
-    LhvStrategy,
     enumerate_strategies,
     extremal_bell_closed_form,
     extremal_bell_numeric,
-    lhv_enumerate,
     tsirelson_scan,
 )
 from bellsim.states import (
@@ -26,6 +23,8 @@ from bellsim.states import (
     densify,
     fidelity,
 )
+
+CANONICAL = BellAngles.canonical()
 
 
 class TestClosedForm:
@@ -60,7 +59,7 @@ class TestClosedForm:
 
 class TestNumericExtremes:
     def test_matches_closed_form_at_reference_fidelity(self):
-        result = extremal_bell_numeric(FidelityConstraint(0.87))
+        result = extremal_bell_numeric(0.87, CANONICAL)
         closed_min, closed_max = extremal_bell_closed_form(0.87)
         assert result.bell_max == pytest.approx(closed_max, abs=1e-9)
         assert result.bell_min == pytest.approx(closed_min, abs=1e-9)
@@ -68,21 +67,20 @@ class TestNumericExtremes:
         assert result.duality_gap <= 1e-9
 
     def test_fully_constrained_at_unit_fidelity(self):
-        result = extremal_bell_numeric(FidelityConstraint(1.0))
+        result = extremal_bell_numeric(1.0, CANONICAL)
         assert result.bell_min == pytest.approx(TSIRELSON_BOUND, abs=1e-9)
         assert result.bell_max == pytest.approx(TSIRELSON_BOUND, abs=1e-9)
 
     @pytest.mark.parametrize("f", [0.6, 0.75, 0.87, 0.95])
     def test_brackets_closed_form(self, f):
         closed_min, closed_max = extremal_bell_closed_form(f)
-        result = extremal_bell_numeric(FidelityConstraint(f))
+        result = extremal_bell_numeric(f, CANONICAL)
         assert result.bell_min == pytest.approx(closed_min, abs=1e-9)
         assert result.bell_max == pytest.approx(closed_max, abs=1e-9)
         assert result.bell_max <= TSIRELSON_BOUND + 1e-9
 
     def test_witnesses_satisfy_constraint(self):
-        constraint = FidelityConstraint(0.87)
-        result = extremal_bell_numeric(constraint)
+        result = extremal_bell_numeric(0.87, CANONICAL)
         target = bell_pair_ideal()
         for witness in (result.witness_min, result.witness_max):
             assert abs(fidelity(witness, target) - 0.87) < 1e-6
@@ -91,12 +89,12 @@ class TestNumericExtremes:
             assert np.trace(witness.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_abs_form_never_below_signed(self):
-        result = extremal_bell_numeric(FidelityConstraint(0.8))
+        result = extremal_bell_numeric(0.8, CANONICAL)
         assert result.abs_form_max >= result.bell_max - 1e-9
         assert result.abs_form_min >= result.bell_min - 1e-9
 
     def test_low_fidelity_flagged_but_computed(self):
-        result = extremal_bell_numeric(FidelityConstraint(0.3))
+        result = extremal_bell_numeric(0.3, CANONICAL)
         assert result.out_of_regime
         closed_min, closed_max = extremal_bell_closed_form(0.3)
         assert result.bell_min == pytest.approx(closed_min, abs=1e-9)
@@ -104,8 +102,8 @@ class TestNumericExtremes:
         assert result.bell_max == pytest.approx(closed_max, abs=1e-9)
 
     def test_constraint_rejects_bad_fidelity(self):
-        with pytest.raises(ValueError):
-            FidelityConstraint(1.3)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            extremal_bell_numeric(1.3, CANONICAL)
 
 
 _SETTINGS = st.builds(
@@ -126,7 +124,7 @@ class TestDualCertificate:
     every value of the SDP dual, which certifies it without a second solver."""
 
     def _check(self, f, angles):
-        result = extremal_bell_numeric(FidelityConstraint(f, angles=angles))
+        result = extremal_bell_numeric(f, angles)
         target = bell_pair_ideal()
         w = chsh_operator(angles)
         projector = np.outer(target.amplitudes, target.amplitudes.conj())
@@ -182,47 +180,39 @@ class TestDualCertificate:
 
 class TestLhv:
     def test_maximum_is_two(self):
-        best, argmax = lhv_enumerate()
-        assert best == LHV_BOUND
-        assert argmax
+        values = [value for _, value in enumerate_strategies()]
+        assert max(values) == LHV_BOUND
 
     def test_every_strategy_is_at_most_two(self):
-        for strategy, value in enumerate_strategies():
+        for (a1, a2, b1, b2), value in enumerate_strategies():
             assert value <= LHV_BOUND + 1e-15
-            assert value == strategy.bell_value()
+            assert value == abs(a2 * b2 - a1 * b2) + abs(a2 * b1 + a1 * b1)
 
     def test_sixteen_strategies(self):
         table = enumerate_strategies()
         assert len(table) == 16
-        assert len({(s.a1, s.a2, s.b1, s.b2) for s, _ in table}) == 16
+        assert len({strategy for strategy, _ in table}) == 16
+        assert {outcome for strategy, _ in table for outcome in strategy} == {-1, 1}
 
     def test_all_plus_strategy(self):
-        assert LhvStrategy(1, 1, 1, 1).bell_value() == pytest.approx(2.0, abs=1e-15)
+        assert dict(enumerate_strategies())[(1, 1, 1, 1)] == pytest.approx(2.0, abs=1e-15)
 
     def test_uniform_mixture_cancels(self):
         # mixture-level correlations: mean of a_i * b_j over all strategies
         q = {(i, j): 0.0 for i in (1, 2) for j in (1, 2)}
-        for strategy, _ in enumerate_strategies():
-            q[(1, 1)] += strategy.a1 * strategy.b1 / 16.0
-            q[(1, 2)] += strategy.a1 * strategy.b2 / 16.0
-            q[(2, 1)] += strategy.a2 * strategy.b1 / 16.0
-            q[(2, 2)] += strategy.a2 * strategy.b2 / 16.0
+        for (a1, a2, b1, b2), _ in enumerate_strategies():
+            q[(1, 1)] += a1 * b1 / 16.0
+            q[(1, 2)] += a1 * b2 / 16.0
+            q[(2, 1)] += a2 * b1 / 16.0
+            q[(2, 2)] += a2 * b2 / 16.0
         mixed = abs(q[(2, 2)] - q[(1, 2)]) + abs(q[(2, 1)] + q[(1, 1)])
         assert mixed == pytest.approx(0.0, abs=1e-15)
 
-    def test_rejects_non_binary_strategy(self):
-        with pytest.raises(ValueError):
-            LhvStrategy(1, 1, 0, 1)
-
-    @given(
-        a1=st.sampled_from((-1, 1)),
-        a2=st.sampled_from((-1, 1)),
-        b1=st.sampled_from((-1, 1)),
-        b2=st.sampled_from((-1, 1)),
-    )
-    def test_deterministic_value_is_exactly_two(self, a1, a2, b1, b2):
+    @given(entry=st.sampled_from(enumerate_strategies()))
+    def test_deterministic_value_is_exactly_two(self, entry):
         # |a2 b2 - a1 b2| + |a2 b1 + a1 b1| = |b2||a2 - a1| + |b1||a2 + a1| = 2
-        assert LhvStrategy(a1, a2, b1, b2).bell_value() == 2.0
+        _, value = entry
+        assert value == 2.0
 
 
 class TestTsirelsonScan:
@@ -278,7 +268,7 @@ class TestSettingsInteroperability:
             MeasurementSetting(math.pi / 4),
             MeasurementSetting(2 * math.pi / 3),
         )
-        result = extremal_bell_numeric(FidelityConstraint(1.0, angles=angles))
+        result = extremal_bell_numeric(1.0, angles)
         ideal = bell_pair_ideal()
         operator = chsh_operator(angles)
         expected = float(np.real(np.trace(densify(ideal).matrix @ operator)))

@@ -589,6 +589,41 @@ class TestHeraldGate:
         )
         assert events == []
 
+    @settings(deadline=None, derandomize=True)
+    @given(
+        excitation=st.sampled_from((0.0, 0.1, 1.0)),
+        efficiency_1=st.sampled_from((0.0, 0.5)),
+        efficiency_2=st.sampled_from((0.0, 0.5)),
+        dark_rate=st.sampled_from((0.0, 1e-3)),
+        waveplate=st.booleans(),
+    )
+    def test_event_sampler_raises_exactly_when_closed_form_does(
+        self, excitation, efficiency_1, efficiency_2, dark_rate, waveplate
+    ):
+        # a source that never heralds, or whose heralds are never recorded,
+        # has no recorded-outcome distribution and yields no events
+        source = SourceParams(excitation_probability=excitation)
+        det = DetectorParams(
+            pmt_efficiency_1=efficiency_1, pmt_efficiency_2=efficiency_2,
+            dark_event_probability=dark_rate,
+        )
+        if waveplate:
+            det = det.with_swapped_pmts()
+        try:
+            recorded_outcome_distribution(source, self.pulse, self.setting_p, det)
+        except ValueError:
+            closed_form_raises = True
+        else:
+            closed_form_raises = False
+        events = iter_heralded_events(
+            5, source, self.pulse, self.setting_p, det, np.random.default_rng(137)
+        )
+        if closed_form_raises:
+            with pytest.raises(ValueError, match="no outcome is ever recorded"):
+                list(events)
+        else:
+            assert len(list(events)) == 5
+
     @pytest.mark.parametrize("n_attempts", [1, 5000, 20_000])
     def test_certain_herald_records_every_attempt(self, n_attempts):
         source = SourceParams(excitation_probability=1.0, collection_efficiency=1.0,
