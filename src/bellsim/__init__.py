@@ -5,22 +5,3 @@ __version__ = "0.1.0"
 # Finest bounds.tsirelson_scan grid, kept here so the CLI checks ``lhv --grid`` without
 # loading bounds.  Work arrays hold (N + 1)^2 floats (34 MB each at N = 2048); cost ~ N^3.
 _MAX_GRID = 2048
-
-from .states import (  # noqa: F401
-    ATOM,
-    PHOTON,
-    BellAngles,
-    DensityMatrix,
-    MeasurementSetting,
-    OutcomeFractions,
-    TwoQubitState,
-    bell_pair_ideal,
-    bell_signal,
-    chsh_operator,
-    correlation,
-    densify,
-    fidelity,
-    outcome_probabilities,
-    rotate,
-    werner,
-)

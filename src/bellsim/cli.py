@@ -45,7 +45,9 @@ _Allowed = tuple[str, Callable[[Any], bool]]
 _UNIT: _Allowed = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 _NON_NEGATIVE: _Allowed = ("finite and >= 0", lambda v: v >= 0.0)
 _POSITIVE: _Allowed = ("finite and > 0", lambda v: v > 0.0)
-_FINITE: _Allowed = ("finite", lambda v: True)
+# Angles are given in units of pi; the value in radians must be finite too.
+_FINITE: _Allowed = ("finite", lambda v: math.isfinite(v * math.pi))
+_MAX_COUNT = 2**63 - 1  # numpy draws counts as int64
 
 
 class _Key(NamedTuple):
@@ -79,7 +81,9 @@ _FIBER_SCHEMA = {
 _SCHEMAS: dict[str, dict[str, _Key]] = {
     "chsh": {
         **_COMMON_SCHEMA,
-        "events_per_setting": _Key(int, 2000, (">= 2", lambda v: v >= 2), "--events"),
+        "events_per_setting": _Key(
+            int, 2000, (f"in [2, {_MAX_COUNT}]", lambda v: 2 <= v <= _MAX_COUNT), "--events"
+        ),
         "werner_p": _Key(float, 1.0, _UNIT, "--werner-p"),
         "pmt_efficiency_1": _Key(float, 1.0, _UNIT, "--pmt-eff1"),
         "pmt_efficiency_2": _Key(float, 1.0, _UNIT, "--pmt-eff2"),
@@ -122,7 +126,9 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     },
     "swap": {
         **_COMMON_SCHEMA,
-        "trials": _Key(int, 100000, (">= 1", lambda v: v >= 1), "--trials"),
+        "trials": _Key(
+            int, 100000, (f"in [1, {_MAX_COUNT}]", lambda v: 1 <= v <= _MAX_COUNT), "--trials"
+        ),
         "werner_p_a": _Key(float, 1.0, _UNIT, "--werner-p-a"),
         "werner_p_b": _Key(float, 1.0, _UNIT, "--werner-p-b"),
         "nodes": _Key(int, 2, (">= 2", lambda v: v >= 2), "--nodes"),
@@ -436,40 +442,32 @@ def _lhv_csv(report: dict[str, Any]) -> str:
 
 def cmd_loopholes(config: dict[str, Any]) -> dict[str, Any]:
     """light-cone and fiber budget arithmetic"""
-    from .network import GeometryConfig, LinkBudget, detection_accounting, locality_check
-    from .network import photon_midpoint_distance, photon_survival
+    from .network import detection_efficiency, light_cone_separation, photon_survival
 
-    geometry = GeometryConfig(
-        atom_to_analysis_distance=config["separation"],
-        atom_measurement_time=config["detection_time"],
-        rotation_time=config["rotation_time"],
-    )
-    verdict = locality_check(geometry)
-    midpoint = photon_midpoint_distance(verdict.required_separation)
-    budget = detection_accounting(
-        config["detection_efficiencies"], threshold=config["efficiency_threshold"]
-    )
-    sweep = []
-    for attenuation in config["attenuation_sweep"]:
-        link = LinkBudget(
-            fiber_length=midpoint,
-            attenuation_db_per_km=attenuation,
-            coupling_efficiency=config["coupling"],
-        )
-        sweep.append({"attenuation_db_per_km": attenuation, "survival": photon_survival(link)})
+    required = light_cone_separation(config["rotation_time"] + config["detection_time"])
+    midpoint = required / 2
+    efficiency = detection_efficiency(config["detection_efficiencies"])
+    threshold = config["efficiency_threshold"]
+    sweep = [
+        {
+            "attenuation_db_per_km": attenuation,
+            "survival": photon_survival(midpoint, attenuation, config["coupling"]),
+        }
+        for attenuation in config["attenuation_sweep"]
+    ]
     report = _report_skeleton("loopholes", config)
     report["results"] = {
         "locality": {
             "separation_m": config["separation"],
             "total_measurement_time_s": config["detection_time"] + config["rotation_time"],
-            "required_separation_m": verdict.required_separation,
-            "closed": verdict.closed,
+            "required_separation_m": required,
+            "closed": config["separation"] >= required,
         },
         "midpoint_distance_m": midpoint,
         "detection_budget": {
-            "efficiency": budget.efficiency,
-            "threshold": budget.threshold,
-            "passes": budget.passes,
+            "efficiency": efficiency,
+            "threshold": threshold,
+            "passes": None if threshold is None else efficiency >= threshold,
         },
         "survival_sweep": sweep,
     }
@@ -478,10 +476,7 @@ def cmd_loopholes(config: dict[str, Any]) -> dict[str, Any]:
         times_us = [25.0, 50.0, 75.0, 100.0, 125.0]
         grid = []
         for time_us in times_us:
-            geom = GeometryConfig(
-                atom_to_analysis_distance=0.0, atom_measurement_time=time_us * 1e-6
-            )
-            required = locality_check(geom).required_separation
+            required = light_cone_separation(time_us * 1e-6)
             grid.append(
                 {
                     "detection_time_us": time_us,
@@ -501,8 +496,9 @@ def cmd_loopholes(config: dict[str, Any]) -> dict[str, Any]:
 
 def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
     """two-pair entanglement swap and chain latency"""
-    from .network import PSI_MINUS, PSI_PLUS, LinkBudget, _outcome_probabilities, chain_latency
-    from .network import adapted_bell_angles, heralded_ion_state, swap_conditional_states
+    from .network import PSI_MINUS, PSI_PLUS, _outcome_probabilities, adapted_bell_angles
+    from .network import chain_latency, heralded_ion_state, photon_survival
+    from .network import swap_conditional_states
 
     pair_a, pair_b = werner(config["werner_p_a"]), werner(config["werner_p_b"])
     conditionals = swap_conditional_states(pair_a, pair_b)
@@ -520,13 +516,9 @@ def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
             entry["fidelity_to_heralded"] = fidelity(state, target)
             entry["bell_value"] = float(np.real(np.trace(state.matrix @ operator)))
         heralded[outcome] = entry
-    link = LinkBudget(
-        fiber_length=config["fiber_length"],
-        attenuation_db_per_km=config["attenuation"],
-        coupling_efficiency=config["coupling"],
-    )
+    survival = photon_survival(config["fiber_length"], config["attenuation"], config["coupling"])
     latency = chain_latency(
-        config["nodes"], link, config["attempt_rate"], config["link_success"]
+        config["nodes"], survival, config["attempt_rate"], config["link_success"]
     )
     report = _report_skeleton("swap", config)
     report["results"] = {

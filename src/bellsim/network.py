@@ -13,8 +13,7 @@ estimates for repeater chains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -44,79 +43,33 @@ BELL_KETS = {
 }
 
 
-@dataclass(frozen=True)
-class GeometryConfig:
-    """Distances and measurement durations entering the light-cone check."""
-
-    atom_to_analysis_distance: float = 1.1
-    atom_measurement_time: float = 125e-6
-    rotation_time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if min(self.atom_to_analysis_distance, self.atom_measurement_time, self.rotation_time) < 0:
-            raise ValueError("distances and times must be non-negative")
+def light_cone_separation(measurement_time: float) -> float:
+    """Separation needed to keep a measurement of this duration outside the light cone."""
+    if measurement_time < 0:
+        raise ValueError("measurement time must be non-negative")
+    return SPEED_OF_LIGHT * measurement_time
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """One fiber link: length, attenuation, and end-to-end coupling."""
-
-    fiber_length: float = 0.0  # meters
-    attenuation_db_per_km: float = 0.2
-    coupling_efficiency: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.fiber_length < 0 or self.attenuation_db_per_km < 0:
-            raise ValueError("fiber length and attenuation must be non-negative")
-        if not 0.0 <= self.coupling_efficiency <= 1.0:
-            raise ValueError("coupling efficiency must be in [0, 1]")
-
-
-class LocalityVerdict(NamedTuple):
-    required_separation: float  # meters
-    closed: bool
-
-
-class DetectionBudget(NamedTuple):
-    efficiency: float
-    threshold: float | None
-    passes: bool | None
-
-
-def locality_check(geom: GeometryConfig) -> LocalityVerdict:
-    """Separation needed to keep the full qubit measurement outside the light cone."""
-    required = SPEED_OF_LIGHT * (geom.rotation_time + geom.atom_measurement_time)
-    return LocalityVerdict(required, geom.atom_to_analysis_distance >= required)
-
-
-def photon_midpoint_distance(separation: float) -> float:
-    """Distance each photon travels to an analyzer placed at the midpoint."""
-    if separation < 0:
-        raise ValueError("separation must be non-negative")
-    return separation / 2.0
-
-
-def detection_accounting(
-    efficiencies: Iterable[float], threshold: float | None = None
-) -> DetectionBudget:
-    """Overall detection efficiency (product of stages) against a pass threshold.
-
-    No built-in sufficiency claim: ``passes`` is None unless the caller
-    supplies a threshold.
-    """
+def detection_efficiency(efficiencies: Iterable[float]) -> float:
+    """Overall detection efficiency: the product of the stage efficiencies."""
     overall = 1.0
     for value in efficiencies:
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"stage efficiency {value!r} outside [0, 1]")
         overall *= value
-    passes = None if threshold is None else overall >= threshold
-    return DetectionBudget(overall, threshold, passes)
+    return overall
 
 
-def photon_survival(link: LinkBudget) -> float:
-    """Probability a photon survives the link's fiber and coupling."""
-    length_km = link.fiber_length / 1000.0
-    return link.coupling_efficiency * 10.0 ** (-link.attenuation_db_per_km * length_km / 10.0)
+def photon_survival(
+    fiber_length: float, attenuation_db_per_km: float, coupling_efficiency: float
+) -> float:
+    """Probability a photon survives a fiber (length in meters) and its coupling."""
+    if fiber_length < 0 or attenuation_db_per_km < 0:
+        raise ValueError("fiber length and attenuation must be non-negative")
+    if not 0.0 <= coupling_efficiency <= 1.0:
+        raise ValueError("coupling efficiency must be in [0, 1]")
+    length_km = fiber_length / 1000.0
+    return coupling_efficiency * 10.0 ** (-attenuation_db_per_km * length_km / 10.0)
 
 
 def swap_conditional_states(
@@ -221,17 +174,14 @@ def _expected_max_attempts(n_links: int, p: float) -> float:
 
 
 def chain_latency(
-    nodes: int,
-    link: LinkBudget,
-    attempt_rate: float,
-    per_attempt_success: float,
+    nodes: int, survival: float, attempt_rate: float, per_attempt_success: float
 ) -> float:
     """Expected seconds until every link of a repeater chain is entangled.
 
     Each of the nodes-1 links retries independently at ``attempt_rate``
-    with per-attempt success ``per_attempt_success`` times the link's
-    photon survival; the expected wait for the slowest link is computed
-    without cancellation, so it holds at any node count and tiny
+    with per-attempt success ``per_attempt_success`` times the photon
+    ``survival`` of its link; the expected wait for the slowest link is
+    computed without cancellation, so it holds at any node count and tiny
     success.  Swap operations are treated as instantaneous, a deliberate
     simplification.
     """
@@ -241,7 +191,7 @@ def chain_latency(
         raise ValueError("attempt rate must be positive")
     if not 0.0 < per_attempt_success <= 1.0:
         raise ValueError("per-attempt success probability must be in (0, 1]")
-    p = per_attempt_success * photon_survival(link)
+    p = per_attempt_success * survival
     if p <= 0.0:
         raise ValueError("effective per-attempt success vanished (lossy link)")
     latency = _expected_max_attempts(nodes - 1, p) / attempt_rate

@@ -21,11 +21,9 @@ from bellsim.harness import reference_bell_results, run_experiment
 from bellsim.network import (
     PSI_MINUS,
     PSI_PLUS,
-    GeometryConfig,
     adapted_bell_angles,
     heralded_ion_state,
-    locality_check,
-    photon_midpoint_distance,
+    light_cone_separation,
     swap_conditional_states,
     _outcome_probabilities,
 )
@@ -213,19 +211,19 @@ def test_criterion_09_source_budget():
 
 
 def test_criterion_10_loophole_arithmetic():
-    slow = locality_check(GeometryConfig())  # 125 us, 1.1 m
-    fast = locality_check(GeometryConfig(atom_measurement_time=50e-6))
-    midpoint_km = photon_midpoint_distance(fast.required_separation) / 1000.0
+    slow = light_cone_separation(125e-6)
+    fast = light_cone_separation(50e-6)
+    midpoint_km = fast / 2 / 1000.0
     ok = (
-        abs(slow.required_separation / 1000.0 - 37.47) <= 0.005
-        and not slow.closed
-        and abs(fast.required_separation / 1000.0 - 14.99) <= 0.005
+        abs(slow / 1000.0 - 37.47) <= 0.005
+        and not 1.1 >= slow
+        and abs(fast / 1000.0 - 14.99) <= 0.005
         and abs(midpoint_km - 7.5) <= 0.01
     )
     _report(
         10,
-        f"125us -> {slow.required_separation / 1000.0:.2f} km (open at 1.1 m); "
-        f"50us -> {fast.required_separation / 1000.0:.2f} km, midpoint {midpoint_km:.2f} km",
+        f"125us -> {slow / 1000.0:.2f} km (open at 1.1 m); "
+        f"50us -> {fast / 1000.0:.2f} km, midpoint {midpoint_km:.2f} km",
         ok,
     )
 

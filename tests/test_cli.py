@@ -297,6 +297,9 @@ class TestConfigFileHandling:
             (["loopholes", "--threshold", "inf"], "efficiency_threshold"),
             (["loopholes", "--threshold", "1.5"], "efficiency_threshold"),
             (["loopholes", "--format", "xml"], "format"),
+            (["swap", "--trials", str(2**63)], "trials"),
+            (["chsh", "--events", str(2**64 - 1)], "events_per_setting"),
+            (["bounds", "--fidelity", "0.5", "--angles", "1e308,0,0,0"], "angles_pi"),
         ],
     )
     def test_bad_value_exits_2_naming_the_key(self, capsys, argv, key):
@@ -304,6 +307,18 @@ class TestConfigFileHandling:
         assert code == 2
         assert out == ""
         assert key in err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["swap", "--trials", str(2**63 - 1)], "trials"),
+            (["chsh", "--events", str(2**63 - 1)], "events_per_setting"),
+        ],
+    )
+    def test_largest_int64_count_runs(self, capsys, argv, key):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["config"][key] == 2**63 - 1
 
 
 # Today's flags of each command and the config key each one sets.

@@ -15,14 +15,11 @@ from bellsim.network import (
     PSI_PLUS,
     SPEED_OF_LIGHT,
     BELL_KETS,
-    GeometryConfig,
-    LinkBudget,
     adapted_bell_angles,
     chain_latency,
-    detection_accounting,
+    detection_efficiency,
     heralded_ion_state,
-    locality_check,
-    photon_midpoint_distance,
+    light_cone_separation,
     photon_survival,
     swap_conditional_states,
     _outcome_probabilities,
@@ -41,84 +38,82 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 
 class TestLocality:
     def test_default_geometry_not_closed(self):
-        verdict = locality_check(GeometryConfig())
-        assert verdict.required_separation == pytest.approx(37474.05725, abs=1e-6)
-        assert not verdict.closed
+        required = light_cone_separation(125e-6)
+        assert required == pytest.approx(37474.05725, abs=1e-6)
+        assert not 1.1 >= required
 
     def test_fifty_microseconds_needs_fifteen_kilometers(self):
-        verdict = locality_check(GeometryConfig(atom_measurement_time=50e-6))
-        assert verdict.required_separation == pytest.approx(14989.6229, abs=1e-3)
-        assert verdict.required_separation / 1000.0 == pytest.approx(15.0, abs=0.011)
+        required = light_cone_separation(50e-6)
+        assert required == pytest.approx(14989.6229, abs=1e-3)
+        assert required / 1000.0 == pytest.approx(15.0, abs=0.011)
 
     def test_zero_time_closes_trivially(self):
-        verdict = locality_check(
-            GeometryConfig(atom_measurement_time=0.0, rotation_time=0.0)
-        )
-        assert verdict.required_separation == 0.0
-        assert verdict.closed
+        required = light_cone_separation(0.0)
+        assert required == 0.0
+        assert 1.1 >= required
 
     def test_rotation_time_adds_to_the_budget(self):
-        verdict = locality_check(
-            GeometryConfig(atom_measurement_time=50e-6, rotation_time=50e-6)
-        )
-        assert verdict.required_separation == pytest.approx(SPEED_OF_LIGHT * 100e-6, abs=1e-6)
+        required = light_cone_separation(50e-6 + 50e-6)
+        assert required == pytest.approx(SPEED_OF_LIGHT * 100e-6, abs=1e-6)
 
     def test_requirement_is_linear_in_time(self):
-        base = locality_check(GeometryConfig(atom_measurement_time=40e-6))
-        doubled = locality_check(GeometryConfig(atom_measurement_time=80e-6))
-        assert doubled.required_separation == pytest.approx(
-            2.0 * base.required_separation, rel=1e-15
-        )
+        base = light_cone_separation(40e-6)
+        doubled = light_cone_separation(80e-6)
+        assert doubled == pytest.approx(2.0 * base, rel=1e-15)
 
     def test_rejects_negative_geometry(self):
         with pytest.raises(ValueError):
-            GeometryConfig(atom_measurement_time=-1e-6)
+            light_cone_separation(-1e-6)
+
+
+def _detection_budget(capsys, tmp_path, efficiencies, threshold):
+    """The ``detection_budget`` record of a ``loopholes`` run."""
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps({"detection_efficiencies": efficiencies}))
+    assert main(["loopholes", "--config", str(path), "--threshold", str(threshold)]) == 0
+    return json.loads(capsys.readouterr().out)["results"]["detection_budget"]
 
 
 class TestMidpointAndBudgets:
-    def test_midpoint_halves(self):
-        assert photon_midpoint_distance(15000.0) == 7500.0
-        assert photon_midpoint_distance(0.0) == 0.0
-        assert photon_midpoint_distance(1.1) == pytest.approx(0.55)
-
-    def test_midpoint_rejects_negative(self):
-        with pytest.raises(ValueError):
-            photon_midpoint_distance(-1.0)
-
     def test_detection_budget_product(self):
-        budget = detection_accounting([0.10, 0.01, 0.20])
-        assert budget.efficiency == pytest.approx(2.0e-4, abs=1e-18)
-        assert budget.passes is None
+        assert detection_efficiency([0.10, 0.01, 0.20]) == pytest.approx(2.0e-4, abs=1e-18)
 
     def test_detection_budget_all_ones(self):
-        assert detection_accounting([1.0, 1.0, 1.0]).efficiency == 1.0
+        assert detection_efficiency([1.0, 1.0, 1.0]) == 1.0
 
-    def test_ion_pair_detection(self):
-        budget = detection_accounting([0.95, 0.95], threshold=0.8)
-        assert budget.efficiency == pytest.approx(0.9025, abs=1e-12)
-        assert budget.passes is True
+    def test_ion_pair_detection(self, capsys, tmp_path):
+        budget = _detection_budget(capsys, tmp_path, [0.95, 0.95], 0.8)
+        assert budget["efficiency"] == pytest.approx(0.9025, abs=1e-12)
+        assert budget["passes"] is True
 
-    def test_threshold_failure(self):
-        assert detection_accounting([0.5], threshold=0.8).passes is False
+    def test_threshold_failure(self, capsys, tmp_path):
+        assert _detection_budget(capsys, tmp_path, [0.5], 0.8)["passes"] is False
 
     def test_rejects_bad_efficiency(self):
         with pytest.raises(ValueError):
-            detection_accounting([1.2])
+            detection_efficiency([1.2])
 
 
 class TestPhotonSurvival:
     def test_zero_length_returns_coupling(self):
-        assert photon_survival(LinkBudget(0.0, 0.2, 0.37)) == pytest.approx(0.37)
+        assert photon_survival(0.0, 0.2, 0.37) == pytest.approx(0.37)
 
     def test_telecom_like_loss(self):
-        survival = photon_survival(LinkBudget(7500.0, 0.2, 1.0))
+        survival = photon_survival(7500.0, 0.2, 1.0)
         assert survival == pytest.approx(10.0 ** -0.15, abs=1e-12)
         assert survival == pytest.approx(0.7079, abs=5e-5)
 
     def test_deep_uv_like_loss(self):
-        survival = photon_survival(LinkBudget(7500.0, 10.0, 1.0))
+        survival = photon_survival(7500.0, 10.0, 1.0)
         assert survival == pytest.approx(10.0 ** -7.5, rel=1e-12)
         assert survival == pytest.approx(3.16e-8, abs=5e-10)
+
+    @pytest.mark.parametrize(
+        "link", [(-1.0, 0.2, 1.0), (0.0, -0.2, 1.0), (0.0, 0.2, 1.5), (0.0, 0.2, -0.1)]
+    )
+    def test_rejects_bad_link(self, link):
+        with pytest.raises(ValueError):
+            photon_survival(*link)
 
     @given(
         l1=st.floats(min_value=0.0, max_value=50000.0),
@@ -126,10 +121,8 @@ class TestPhotonSurvival:
         attenuation=st.floats(min_value=0.0, max_value=20.0),
     )
     def test_multiplicative_over_concatenation(self, l1, l2, attenuation):
-        joined = photon_survival(LinkBudget(l1 + l2, attenuation, 1.0))
-        split = photon_survival(LinkBudget(l1, attenuation, 1.0)) * photon_survival(
-            LinkBudget(l2, attenuation, 1.0)
-        )
+        joined = photon_survival(l1 + l2, attenuation, 1.0)
+        split = photon_survival(l1, attenuation, 1.0) * photon_survival(l2, attenuation, 1.0)
         assert joined == pytest.approx(split, rel=1e-12, abs=1e-300)
 
 
@@ -275,16 +268,16 @@ chain_nodes = st.integers(min_value=2, max_value=200)
 
 class TestChainLatency:
     def test_single_link_unit_probability(self):
-        assert chain_latency(2, LinkBudget(), attempt_rate=5.0, per_attempt_success=1.0) == (
+        assert chain_latency(2, 1.0, attempt_rate=5.0, per_attempt_success=1.0) == (
             pytest.approx(0.2, abs=1e-15)
         )
 
     def test_single_link_heralded_rate(self):
-        latency = chain_latency(2, LinkBudget(), attempt_rate=8.3e3, per_attempt_success=2.0e-4)
+        latency = chain_latency(2, 1.0, attempt_rate=8.3e3, per_attempt_success=2.0e-4)
         assert latency == pytest.approx(0.60, abs=0.005)
 
     def test_two_links_inclusion_exclusion(self):
-        latency = chain_latency(3, LinkBudget(), attempt_rate=1.0, per_attempt_success=0.5)
+        latency = chain_latency(3, 1.0, attempt_rate=1.0, per_attempt_success=0.5)
         expected = 2.0 / 0.5 - 1.0 / (2 * 0.5 - 0.25)
         assert latency == pytest.approx(expected, abs=1e-12)
         assert latency == pytest.approx(2.667, abs=5e-4)
@@ -294,40 +287,38 @@ class TestChainLatency:
         p, links = 0.3, 4
         t = np.arange(200)
         oracle = float(np.sum(1.0 - (1.0 - (1.0 - p) ** t) ** links))
-        latency = chain_latency(links + 1, LinkBudget(), attempt_rate=1.0, per_attempt_success=p)
+        latency = chain_latency(links + 1, 1.0, attempt_rate=1.0, per_attempt_success=p)
         assert latency == pytest.approx(oracle, rel=1e-9)
 
     def test_fiber_loss_enters_the_rate(self):
-        lossless = chain_latency(2, LinkBudget(), 1.0, 0.5)
-        lossy = chain_latency(2, LinkBudget(fiber_length=15000.0, attenuation_db_per_km=0.2), 1.0, 0.5)
-        assert lossy == pytest.approx(lossless / photon_survival(
-            LinkBudget(fiber_length=15000.0, attenuation_db_per_km=0.2)
-        ), rel=0.02)
+        lossless = chain_latency(2, 1.0, 1.0, 0.5)
+        survival = photon_survival(15000.0, 0.2, 1.0)
+        lossy = chain_latency(2, survival, 1.0, 0.5)
+        assert lossy == pytest.approx(lossless / survival, rel=0.02)
 
     def test_monotone_in_success_and_rate(self):
-        link = LinkBudget()
         latencies_p = [
-            chain_latency(4, link, 1.0, p) for p in np.linspace(0.05, 1.0, 12)
+            chain_latency(4, 1.0, 1.0, p) for p in np.linspace(0.05, 1.0, 12)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(latencies_p, latencies_p[1:]))
         latencies_r = [
-            chain_latency(4, link, rate, 0.3) for rate in np.linspace(1.0, 100.0, 12)
+            chain_latency(4, 1.0, rate, 0.3) for rate in np.linspace(1.0, 100.0, 12)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(latencies_r, latencies_r[1:]))
 
     def test_sixty_node_chain(self):
-        latency = chain_latency(60, LinkBudget(), attempt_rate=1.0, per_attempt_success=2e-4)
+        latency = chain_latency(60, 1.0, attempt_rate=1.0, per_attempt_success=2e-4)
         assert latency == pytest.approx(23314.187, abs=1e-3)
 
     def test_eighty_node_chain_takes_seconds(self):
-        latency = chain_latency(80, LinkBudget(), attempt_rate=8.3e3, per_attempt_success=2e-4)
+        latency = chain_latency(80, 1.0, attempt_rate=8.3e3, per_attempt_success=2e-4)
         assert latency == pytest.approx(harmonic(79) / 2e-4 / 8.3e3, rel=1e-4)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(p=log_probability, nodes=chain_nodes, rate=st.floats(min_value=1.0, max_value=1e4))
     def test_rises_with_nodes_and_is_at_least_one_link(self, p, nodes, rate):
-        latency = chain_latency(nodes, LinkBudget(), rate, p)
-        longer = chain_latency(nodes + 1, LinkBudget(), rate, p)
+        latency = chain_latency(nodes, 1.0, rate, p)
+        longer = chain_latency(nodes + 1, 1.0, rate, p)
         assert math.isfinite(latency)
         assert longer > latency if p <= 0.5 else longer >= latency
         assert latency * rate >= (1.0 / p) * (1.0 - 1e-12)
@@ -340,20 +331,20 @@ class TestChainLatency:
     )
     def test_tends_to_harmonic_number_over_p(self, p, nodes, rate):
         # E[max] = H_n / p + O(H_n) as p -> 0
-        scaled = p * chain_latency(nodes, LinkBudget(), rate, p) * rate
+        scaled = p * chain_latency(nodes, 1.0, rate, p) * rate
         assert abs(scaled - harmonic(nodes - 1)) <= (p + 1e-12) * harmonic(nodes - 1)
 
     @pytest.mark.parametrize("nodes", [999, 1000, 1001, 10**6])
     def test_long_chains_tend_to_harmonic_number_over_p(self, nodes):
         p = 1e-12
-        scaled = p * chain_latency(nodes, LinkBudget(), 1.0, p)
+        scaled = p * chain_latency(nodes, 1.0, 1.0, p)
         assert scaled == pytest.approx(harmonic(nodes - 1), rel=1e-11)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e), nodes=chain_nodes)
     def test_matches_the_tail_sum_series(self, p, nodes):
         # The series is affordable for p >= 1e-4: at most about 5e5 terms.
-        latency = chain_latency(nodes, LinkBudget(), attempt_rate=1.0, per_attempt_success=p)
+        latency = chain_latency(nodes, 1.0, attempt_rate=1.0, per_attempt_success=p)
         assert latency == pytest.approx(tail_sum_attempts(nodes - 1, p), rel=1e-9)
 
     def test_cli_runs_at_tiny_link_success(self, capsys):
@@ -363,12 +354,12 @@ class TestChainLatency:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            chain_latency(1, LinkBudget(), 1.0, 0.5)
+            chain_latency(1, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            chain_latency(2, LinkBudget(), 0.0, 0.5)
+            chain_latency(2, 1.0, 0.0, 0.5)
         with pytest.raises(ValueError):
-            chain_latency(2, LinkBudget(), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            chain_latency(2, LinkBudget(coupling_efficiency=0.0), 1.0, 0.5)
+            chain_latency(2, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="lossy link"):
+            chain_latency(2, photon_survival(0.0, 0.2, 0.0), 1.0, 0.5)
         with pytest.raises(ValueError, match="overflows"):
-            chain_latency(3, LinkBudget(), 1.0, 1e-320)
+            chain_latency(3, 1.0, 1.0, 1e-320)
