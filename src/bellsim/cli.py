@@ -13,7 +13,9 @@ fully resolved configuration, and identical (seed, config) runs produce
 byte-identical output.  Angles are given in units of pi (0.25 means
 pi/4).  Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 
-Each command imports only the layers it runs, in its ``cmd_<command>`` body.
+Each command imports only the layers it runs, numpy included, in its
+``cmd_<command>`` body: ``loopholes``, ``--help``, ``--version`` and
+configuration errors load no numpy.
 """
 
 from __future__ import annotations
@@ -26,10 +28,7 @@ import math
 import sys
 from typing import Any, Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from . import _MAX_GRID, __version__
-from .states import BellAngles, bell_pair_ideal, chsh_operator, fidelity, werner
 
 DEFAULT_SEED = 12345
 TOOL_NAME = "bellsim"
@@ -354,7 +353,10 @@ def _chsh_csv(report: dict[str, Any]) -> str:
 
 def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
     """fidelity-constrained Bell-signal window"""
+    import numpy as np
+
     from .bounds import extremal_bell_closed_form, extremal_bell_numeric
+    from .states import BellAngles, bell_pair_ideal, fidelity
 
     if config["fidelity"] is None:
         raise ConfigError("bounds: a fidelity value is required (--fidelity or config)")
@@ -442,9 +444,11 @@ def _lhv_csv(report: dict[str, Any]) -> str:
 
 def cmd_loopholes(config: dict[str, Any]) -> dict[str, Any]:
     """light-cone and fiber budget arithmetic"""
-    from .network import detection_efficiency, light_cone_separation, photon_survival
+    from .loopholes import detection_efficiency, light_cone_separation, photon_survival
 
     required = light_cone_separation(config["rotation_time"] + config["detection_time"])
+    if not math.isfinite(required):
+        raise ConfigError("loopholes: keys 'detection_time' + 'rotation_time' overflow c*t")
     midpoint = required / 2
     efficiency = detection_efficiency(config["detection_efficiencies"])
     threshold = config["efficiency_threshold"]
@@ -496,9 +500,12 @@ def cmd_loopholes(config: dict[str, Any]) -> dict[str, Any]:
 
 def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
     """two-pair entanglement swap and chain latency"""
+    import numpy as np
+
+    from .loopholes import photon_survival
     from .network import PSI_MINUS, PSI_PLUS, _outcome_probabilities, adapted_bell_angles
-    from .network import chain_latency, heralded_ion_state, photon_survival
-    from .network import swap_conditional_states
+    from .network import chain_latency, heralded_ion_state, swap_conditional_states
+    from .states import chsh_operator, fidelity, werner
 
     pair_a, pair_b = werner(config["werner_p_a"]), werner(config["werner_p_b"])
     conditionals = swap_conditional_states(pair_a, pair_b)

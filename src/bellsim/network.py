@@ -1,19 +1,16 @@
-"""Loophole arithmetic and the remote ion-ion entanglement scheme.
+"""The remote ion-ion entanglement scheme and repeater-chain latency.
 
-Covers the quantitative side of a loophole-free test built from two
-heralded atom-photon pairs: light-cone separation requirements for the
-locality loophole, multiplicative detection budgets for the fair-sample
-question, fiber survival of the photons en route to a midpoint analyzer,
-the projection of a partial Bell-state analysis that heralds only the
-two odd-parity Bell states (capping the success probability at 1/2)
-together with the ion-ion states it leaves, and geometric waiting-time
-estimates for repeater chains.
+Covers the swap side of a loophole-free test built from two heralded
+atom-photon pairs: the projection of a partial Bell-state analysis that
+heralds only the two odd-parity Bell states (capping the success
+probability at 1/2) together with the ion-ion states it leaves, and
+geometric waiting-time estimates for repeater chains.  The light-cone,
+detection and fiber-survival arithmetic lives in ``loopholes``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -24,8 +21,6 @@ from .states import (
     TwoQubitState,
     densify,
 )
-
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 _LATENCY_TERMS = 65536  # most terms summed of the latency series
 _LATENCY_CHUNK = 4096
@@ -41,35 +36,6 @@ BELL_KETS = {
     PSI_PLUS: np.array([0.0, _INV_SQRT2, _INV_SQRT2, 0.0], dtype=complex),
     PSI_MINUS: np.array([0.0, _INV_SQRT2, -_INV_SQRT2, 0.0], dtype=complex),
 }
-
-
-def light_cone_separation(measurement_time: float) -> float:
-    """Separation needed to keep a measurement of this duration outside the light cone."""
-    if measurement_time < 0:
-        raise ValueError("measurement time must be non-negative")
-    return SPEED_OF_LIGHT * measurement_time
-
-
-def detection_efficiency(efficiencies: Iterable[float]) -> float:
-    """Overall detection efficiency: the product of the stage efficiencies."""
-    overall = 1.0
-    for value in efficiencies:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"stage efficiency {value!r} outside [0, 1]")
-        overall *= value
-    return overall
-
-
-def photon_survival(
-    fiber_length: float, attenuation_db_per_km: float, coupling_efficiency: float
-) -> float:
-    """Probability a photon survives a fiber (length in meters) and its coupling."""
-    if fiber_length < 0 or attenuation_db_per_km < 0:
-        raise ValueError("fiber length and attenuation must be non-negative")
-    if not 0.0 <= coupling_efficiency <= 1.0:
-        raise ValueError("coupling efficiency must be in [0, 1]")
-    length_km = fiber_length / 1000.0
-    return coupling_efficiency * 10.0 ** (-attenuation_db_per_km * length_km / 10.0)
 
 
 def swap_conditional_states(

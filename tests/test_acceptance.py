@@ -18,12 +18,12 @@ from bellsim.bounds import (
     tsirelson_scan,
 )
 from bellsim.harness import reference_bell_results, run_experiment
+from bellsim.loopholes import light_cone_separation
 from bellsim.network import (
     PSI_MINUS,
     PSI_PLUS,
     adapted_bell_angles,
     heralded_ion_state,
-    light_cone_separation,
     swap_conditional_states,
     _outcome_probabilities,
 )

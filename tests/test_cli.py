@@ -9,7 +9,16 @@ import sys
 
 import pytest
 
-from bellsim.cli import _SCHEMAS, ConfigError, _fmt, build_parser, main, resolve_config
+from bellsim.cli import (
+    _RUNNERS,
+    _SCHEMAS,
+    ConfigError,
+    _fmt,
+    _report_skeleton,
+    build_parser,
+    main,
+    resolve_config,
+)
 
 
 def run_cli(capsys, *argv):
@@ -300,6 +309,8 @@ class TestConfigFileHandling:
             (["swap", "--trials", str(2**63)], "trials"),
             (["chsh", "--events", str(2**64 - 1)], "events_per_setting"),
             (["bounds", "--fidelity", "0.5", "--angles", "1e308,0,0,0"], "angles_pi"),
+            (["loopholes", "--detection-time", "1e300"], "detection_time"),
+            (["loopholes", "--rotation-time", "1e300"], "rotation_time"),
         ],
     )
     def test_bad_value_exits_2_naming_the_key(self, capsys, argv, key):
@@ -453,7 +464,7 @@ class TestReproducibility:
         assert path.read_text() == out
 
 
-_CORE_MODULES = ["bellsim", "bellsim.cli", "bellsim.states"]
+_CORE_MODULES = ["bellsim", "bellsim.cli"]
 
 
 class TestColdStart:
@@ -471,11 +482,11 @@ class TestColdStart:
         "argv, layers",
         [
             (None, []),
-            (["chsh", "--events", "2"], ["bellsim.harness", "bellsim.protocol"]),
-            (["bounds", "--fidelity", "0.87"], ["bellsim.bounds"]),
-            (["lhv", "--grid", "8"], ["bellsim.bounds"]),
-            (["loopholes"], ["bellsim.network"]),
-            (["swap", "--trials", "10"], ["bellsim.network"]),
+            (["chsh", "--events", "2"], ["bellsim.harness", "bellsim.protocol", "bellsim.states"]),
+            (["bounds", "--fidelity", "0.87"], ["bellsim.bounds", "bellsim.states"]),
+            (["lhv", "--grid", "8"], ["bellsim.bounds", "bellsim.states"]),
+            (["loopholes"], ["bellsim.loopholes"]),
+            (["swap", "--trials", "10"], ["bellsim.loopholes", "bellsim.network", "bellsim.states"]),
         ],
         ids=["import", "chsh", "bounds", "lhv", "loopholes", "swap"],
     )
@@ -492,13 +503,37 @@ class TestColdStart:
         )
         assert result.stderr.strip() == str(sorted(_CORE_MODULES + layers))
 
+    def test_runs_that_compute_nothing_load_no_numpy(self):
+        """The import, loopholes, --version, --help and a config error run
+        without numpy; each step is checked in the same cold process."""
+        probe = (
+            "import sys, bellsim.cli\n"
+            "def check(step):\n"
+            "    assert 'numpy' not in sys.modules, step\n"
+            "check('import')\n"
+            "for argv, code in [(['loopholes'], 0), (['--version'], 0), (['--help'], 0),\n"
+            "                   (['chsh', '--werner-p', '2'], 2)]:\n"
+            "    status = bellsim.cli.main(argv)  # main returns argparse's exit code\n"
+            "    assert status == code, (argv, status)\n"
+            "    check(argv)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
 
 class TestRuntimeFailures:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_report_exits_1(self, capsys, fmt):
-        code, out, err = run_cli(
-            capsys, "loopholes", "--detection-time", "1e300", "--format", fmt
-        )
+    def test_non_finite_report_exits_1(self, capsys, monkeypatch, fmt):
+        """The guard refuses a report that holds a non-finite number; no valid
+        config is known to reach one, so the runner's report is replaced."""
+
+        def overflowing(config):
+            report = _report_skeleton("loopholes", config)
+            report["results"] = {"required_separation_m": math.inf}
+            return report
+
+        monkeypatch.setitem(_RUNNERS, "loopholes", overflowing)
+        code, out, err = run_cli(capsys, "loopholes", "--format", fmt)
         assert code == 1
         assert out == ""
         assert "non-finite" in err

@@ -9,18 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim.cli import main
+from bellsim.loopholes import (
+    SPEED_OF_LIGHT,
+    detection_efficiency,
+    light_cone_separation,
+    photon_survival,
+)
 from bellsim.network import (
     BSA_FAIL,
     PSI_MINUS,
     PSI_PLUS,
-    SPEED_OF_LIGHT,
     BELL_KETS,
     adapted_bell_angles,
     chain_latency,
-    detection_efficiency,
     heralded_ion_state,
-    light_cone_separation,
-    photon_survival,
     swap_conditional_states,
     _outcome_probabilities,
 )
