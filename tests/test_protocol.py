@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import oracle_outcome_probabilities
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.protocol import (
@@ -23,14 +23,20 @@ from bellsim.protocol import (
     recorded_outcome_distribution,
     sample_outcome_counts,
     simulate_attempts,
+    _atom_stage,
+    _photon_stage,
     _read_out,
     _readout_coefficients,
 )
 from bellsim.states import (
+    EIGENVALUE_FLOOR,
+    HERMITICITY_TOL,
+    TRACE_TOL,
     MeasurementSetting,
     bell_pair_ideal,
     outcome_probabilities,
     rotation_matrix,
+    werner,
 )
 
 angle = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -519,6 +525,73 @@ class TestSinglePulseChain:
         )
         oracle = _single_pulse_oracle(werner_p, pulse, self.theta_photon, self.det, window)
         np.testing.assert_allclose(expected, oracle, rtol=0, atol=1e-7)
+
+
+def _bright_probability(rho: np.ndarray, theta: float, phi: float) -> float:
+    """Bright (|0>) population of a 2x2 atom state after the rotation U(theta, phi)."""
+    u = rotation_matrix(MeasurementSetting(theta, phi))
+    return float((u @ rho @ u.conj().T)[0, 0].real)
+
+
+class TestAtomStage:
+    """The samplers' atom stage against an oracle built from validated states."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        werner_p=st.floats(min_value=0.0, max_value=1.0),
+        theta=angle,
+        phi=angle,
+        mode=st.sampled_from([TWO_PULSE, SINGLE_PULSE]),
+        rotation_theta=angle,
+        rotation_phase=angle,
+        transfer_phase=angle,
+    )
+    @example(werner_p=0.0, theta=0.3, phi=1.1, mode=TWO_PULSE,
+             rotation_theta=0.7, rotation_phase=0.2, transfer_phase=-0.4)
+    @example(werner_p=1.0, theta=math.pi / 4, phi=0.0, mode=SINGLE_PULSE,
+             rotation_theta=math.pi / 2, rotation_phase=0.7, transfer_phase=0.0)
+    def test_matches_validated_state_oracle(
+        self, werner_p, theta, phi, mode, rotation_theta, rotation_phase, transfer_phase
+    ):
+        source = SourceParams(werner_p=werner_p)
+        pulse = PulseSequence(mode, rotation_theta, rotation_phase, transfer_phase)
+        photon = MeasurementSetting(theta, phi)
+        probs, a, b = _atom_stage(source, pulse, photon)
+
+        # Oracle: the validated source state, its photon rotated by kron(I, U).
+        if werner_p == 1.0:
+            amps = bell_pair_ideal().amplitudes
+            rho = np.outer(amps, amps.conj())
+        else:
+            rho = werner(werner_p).matrix
+        np.testing.assert_allclose(
+            oracle_outcome_probabilities(rho, (0.0, 0.0), (photon.theta, photon.phi))
+            .reshape(2, 2).sum(axis=0),
+            probs, rtol=0, atol=1e-12,
+        )
+        full = np.kron(np.eye(2), rotation_matrix(photon))
+        rotated = (full @ rho @ full.conj().T).reshape(2, 2, 2, 2)
+        ground = np.diag([1.0, 0.0])
+        atoms = [rotated[:, o, :, o] / probs[o] if probs[o] > 0.0 else ground for o in range(2)]
+        # p_bright(a) = A + Re(B e^{-ia}) at precession phases a = 0, pi and pi/2.
+        phase = rotation_phase - transfer_phase if mode == TWO_PULSE else rotation_phase
+        for atom, a_i, b_i in zip([*atoms, ground], a, b):
+            at_zero, at_pi, at_half_pi = (
+                _bright_probability(atom, rotation_theta, phase + shift)
+                for shift in (0.0, math.pi, math.pi / 2)
+            )
+            expected_a = 0.5 * (at_zero + at_pi)
+            np.testing.assert_allclose(
+                [a_i, b_i.real, b_i.imag],
+                [expected_a, 0.5 * (at_zero - at_pi), at_half_pi - expected_a],
+                rtol=0, atol=1e-12,
+            )
+
+        _, stacked = _photon_stage(source, photon)
+        for atom in stacked:
+            assert np.abs(atom - atom.conj().T).max() <= HERMITICITY_TOL
+            assert abs(np.trace(atom) - 1.0) <= TRACE_TOL
+            assert np.linalg.eigvalsh(atom).min() >= EIGENVALUE_FLOOR
 
 
 class TestAttemptIndices:
