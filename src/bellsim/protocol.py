@@ -38,16 +38,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .states import (
-    PHOTON,
-    DensityMatrix,
-    MeasurementSetting,
-    TwoQubitState,
-    bell_pair_ideal,
-    rotate,
-    rotation_matrix,
-    werner,
-)
+from .states import MeasurementSetting, rotation_matrix, werner_matrix
 
 SINGLE_PULSE = "single_pulse"
 TWO_PULSE = "two_pulse"
@@ -97,11 +88,6 @@ class SourceParams:
             * self.collection_efficiency
             * self.detector_quantum_efficiency
         )
-
-    def emitted_state(self) -> TwoQubitState | DensityMatrix:
-        if self.werner_p == 1.0:
-            return bell_pair_ideal()
-        return werner(self.werner_p)
 
 
 @dataclass(frozen=True)
@@ -229,15 +215,15 @@ def _photon_stage(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Photon marginal of the emitted pair and the atom density matrices it leaves.
 
-    Stacked as (given outcome 0, given outcome 1, ground); the ground state
-    stands in for an outcome that never occurs and follows a dark click.
+    The emitted pair p |Phi><Phi| + (1 - p) I/4 is a plain array, valid by
+    construction for p in [0, 1], and only its photon index is rotated, so
+    no sampler call builds or validates a state.  Stacked as (given outcome
+    0, given outcome 1, ground); the ground state stands in for an outcome
+    that never occurs and follows a dark click.
     """
-    state = rotate(source.emitted_state(), PHOTON, photon_setting)
-    if isinstance(state, TwoQubitState):
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    else:
-        rho = state.matrix
-    blocks = np.einsum("spap->psa", rho.reshape(2, 2, 2, 2))  # [p, s, s']
+    u = rotation_matrix(photon_setting)
+    rho = werner_matrix(source.werner_p).reshape(2, 2, 2, 2)  # [s, p, s', p']
+    blocks = np.einsum("pq,sqtr,pr->pst", u, rho, u.conj())  # [p, s, s'] of the rotated pair
     probs = np.clip(np.real(np.einsum("pss->p", blocks)), 0.0, 1.0)
     ground = np.diag([1.0, 0.0]).astype(complex)
     atoms = [block / p if p > 0.0 else ground for block, p in zip(blocks, probs)]

@@ -20,9 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ATOM = "S"
-PHOTON = "P"
-
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -165,10 +162,15 @@ class OutcomeFractions:
         return self.f00 + self.f11 - self.f01 - self.f10
 
 
+_BELL_KET = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) * (1.0 / math.sqrt(2.0))
+_BELL_KET.setflags(write=False)
+_BELL_PROJECTOR = np.outer(_BELL_KET, _BELL_KET.conj())
+_WHITE_NOISE = np.eye(4, dtype=complex) / 4.0
+
+
 def bell_pair_ideal() -> TwoQubitState:
     """The maximally entangled pair (|0s0p> + |1s1p>)/sqrt(2)."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return TwoQubitState(np.array([inv_sqrt2, 0.0, 0.0, inv_sqrt2], dtype=complex))
+    return TwoQubitState(_BELL_KET)
 
 
 def densify(state: TwoQubitState | DensityMatrix) -> DensityMatrix:
@@ -204,26 +206,6 @@ def measurement_operator(setting: MeasurementSetting) -> np.ndarray:
     """2x2 Hermitian observable sigma . m for the setting's Bloch axis m."""
     mx, my, mz = measurement_axis(setting)
     return mx * SIGMA_X + my * SIGMA_Y + mz * SIGMA_Z
-
-
-def _embed(u: np.ndarray, qubit: str) -> np.ndarray:
-    if qubit == ATOM:
-        return np.kron(u, np.eye(2, dtype=complex))
-    if qubit == PHOTON:
-        return np.kron(np.eye(2, dtype=complex), u)
-    raise ValueError(f"unknown qubit index {qubit!r}; expected {ATOM!r} or {PHOTON!r}")
-
-
-def rotate(
-    state: TwoQubitState | DensityMatrix, qubit: str, setting: MeasurementSetting
-) -> TwoQubitState | DensityMatrix:
-    """Apply the single-qubit rotation U(theta, phi) to one qubit of the pair."""
-    full = _embed(rotation_matrix(setting), qubit)
-    if isinstance(state, TwoQubitState):
-        return TwoQubitState(full @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(full @ state.matrix @ full.conj().T)
-    raise TypeError(f"cannot rotate object of type {type(state).__name__}")
 
 
 def outcome_probabilities(
@@ -273,9 +255,12 @@ def werner(p: float) -> DensityMatrix:
     """Mix p * ideal pair + (1 - p) * I/4 (white noise stand-in)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight {p!r} outside [0, 1]")
-    amps = bell_pair_ideal().amplitudes
-    pure = np.outer(amps, amps.conj())
-    return DensityMatrix(p * pure + (1.0 - p) * np.eye(4, dtype=complex) / 4.0)
+    return DensityMatrix(werner_matrix(p))
+
+
+def werner_matrix(p: float) -> np.ndarray:
+    """The array p * ideal pair + (1 - p) * I/4, unvalidated; ``werner`` is the checked state."""
+    return p * _BELL_PROJECTOR + (1.0 - p) * _WHITE_NOISE
 
 
 def chsh_operator(angles: BellAngles) -> np.ndarray:

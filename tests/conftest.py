@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's rotate-then-diagonal code
 path: outcome probabilities come from explicit Bloch-axis projectors, so
-the two routes check each other.
+the two routes check each other.  ``rotate`` turns one qubit of a
+validated state, the rotate-then-read-out side of the convention law.
 """
 
 from __future__ import annotations
@@ -11,6 +12,11 @@ import math
 
 import numpy as np
 import pytest
+
+from bellsim.states import DensityMatrix, MeasurementSetting, TwoQubitState, rotation_matrix
+
+ATOM = "S"
+PHOTON = "P"
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -53,6 +59,17 @@ def oracle_correlation(
 ) -> float:
     f = oracle_outcome_probabilities(rho, setting_a, setting_b)
     return float(f[0] + f[3] - f[1] - f[2])
+
+
+def rotate(
+    state: TwoQubitState | DensityMatrix, qubit: str, setting: MeasurementSetting
+) -> TwoQubitState | DensityMatrix:
+    """Apply the single-qubit rotation U(theta, phi) to the ATOM or PHOTON qubit of the pair."""
+    u, identity = rotation_matrix(setting), np.eye(2, dtype=complex)
+    full = np.kron(u, identity) if qubit == ATOM else np.kron(identity, u)
+    if isinstance(state, TwoQubitState):
+        return TwoQubitState(full @ state.amplitudes)
+    return DensityMatrix(full @ state.matrix @ full.conj().T)
 
 
 def random_density_matrices(rng: np.random.Generator, n: int) -> np.ndarray:

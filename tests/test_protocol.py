@@ -32,7 +32,9 @@ from bellsim.states import (
     EIGENVALUE_FLOOR,
     HERMITICITY_TOL,
     TRACE_TOL,
+    DensityMatrix,
     MeasurementSetting,
+    TwoQubitState,
     bell_pair_ideal,
     outcome_probabilities,
     rotation_matrix,
@@ -592,6 +594,28 @@ class TestAtomStage:
             assert np.abs(atom - atom.conj().T).max() <= HERMITICITY_TOL
             assert abs(np.trace(atom) - 1.0) <= TRACE_TOL
             assert np.linalg.eigvalsh(atom).min() >= EIGENVALUE_FLOOR
+
+    @pytest.mark.parametrize("mode", [TWO_PULSE, SINGLE_PULSE])
+    @pytest.mark.parametrize("werner_p", [1.0, 0.82667])
+    def test_samplers_build_no_validated_state(self, monkeypatch, werner_p, mode):
+        calls = []
+        for cls in (DensityMatrix, TwoQubitState):
+            validate = cls.__post_init__
+            monkeypatch.setattr(
+                cls, "__post_init__", lambda self, v=validate: calls.append(v) or v(self)
+            )
+        werner(0.5)  # the counter sees a validation outside the samplers
+        assert calls
+        calls.clear()
+        source = SourceParams(werner_p=werner_p)
+        pulse = PulseSequence(mode, math.pi / 2)
+        photon = MeasurementSetting(math.pi / 4)
+        det = DetectorParams.experiment_like()
+        rng = np.random.default_rng(3)
+        assert len(list(iter_heralded_events(2000, source, pulse, photon, det, rng))) == 2000
+        assert simulate_attempts(10_000_000, source, pulse, photon, det, rng)
+        recorded_outcome_distribution(source, pulse, photon, det)
+        assert calls == []
 
 
 class TestAttemptIndices:

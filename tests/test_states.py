@@ -8,9 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.states import (
-    ATOM,
     HERMITICITY_TOL,
-    PHOTON,
     BellAngles,
     DensityMatrix,
     MeasurementSetting,
@@ -24,16 +22,18 @@ from bellsim.states import (
     fidelity,
     measurement_axis,
     outcome_probabilities,
-    rotate,
     rotation_matrix,
     werner,
 )
 
 from conftest import (
+    ATOM,
+    PHOTON,
     oracle_correlation,
     oracle_outcome_probabilities,
     random_density_matrices,
     random_pure_pair,
+    rotate,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -182,10 +182,6 @@ class TestRotation:
         assert fractions.f10 == pytest.approx(0.5, abs=1e-12)
         assert fractions.f00 == pytest.approx(0.0, abs=1e-12)
         assert fractions.f11 == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_unknown_qubit(self):
-        with pytest.raises(ValueError, match="qubit"):
-            rotate(bell_pair_ideal(), "X", MeasurementSetting(0.1))
 
     def test_rotation_preserves_norm_and_positivity(self, rng):
         state = TwoQubitState(random_pure_pair(rng))
