@@ -599,11 +599,12 @@ class TestAtomStage:
     @pytest.mark.parametrize("werner_p", [1.0, 0.82667])
     def test_samplers_build_no_validated_state(self, monkeypatch, werner_p, mode):
         calls = []
+
+        def counted(validate):
+            return lambda self: calls.append(type(self).__name__) or validate(self)
+
         for cls in (DensityMatrix, TwoQubitState):
-            validate = cls.__post_init__
-            monkeypatch.setattr(
-                cls, "__post_init__", lambda self, v=validate: calls.append(v) or v(self)
-            )
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
         werner(0.5)  # the counter sees a validation outside the samplers
         assert calls
         calls.clear()
