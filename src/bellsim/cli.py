@@ -503,13 +503,13 @@ def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
     import numpy as np
 
     from .loopholes import photon_survival
-    from .network import PSI_MINUS, PSI_PLUS, _outcome_probabilities, adapted_bell_angles
+    from .network import PSI_MINUS, PSI_PLUS, _analyzer_probabilities, adapted_bell_angles
     from .network import chain_latency, heralded_ion_state, swap_conditional_states
     from .states import chsh_operator, fidelity, werner
 
     pair_a, pair_b = werner(config["werner_p_a"]), werner(config["werner_p_b"])
     conditionals = swap_conditional_states(pair_a, pair_b)
-    probabilities = _outcome_probabilities(conditionals)
+    probabilities = _analyzer_probabilities(conditionals)
     rng = np.random.default_rng(config["seed"])
     draws = rng.multinomial(config["trials"], list(probabilities.values()))
     counts = {outcome: int(n) for outcome, n in zip(probabilities, draws)}

@@ -14,13 +14,7 @@ import math
 
 import numpy as np
 
-from .states import (
-    BellAngles,
-    DensityMatrix,
-    MeasurementSetting,
-    TwoQubitState,
-    densify,
-)
+from .states import BellAngles, DensityMatrix, MeasurementSetting, TwoQubitState
 
 _LATENCY_TERMS = 65536  # most terms summed of the latency series
 _LATENCY_CHUNK = 4096
@@ -39,7 +33,7 @@ BELL_KETS = {
 
 
 def swap_conditional_states(
-    pair_a: TwoQubitState | DensityMatrix, pair_b: TwoQubitState | DensityMatrix
+    pair_a: DensityMatrix, pair_b: DensityMatrix
 ) -> dict[str, tuple[float, DensityMatrix | None]]:
     """Heralding probabilities and conditional ion-ion states for both outcomes.
 
@@ -47,7 +41,7 @@ def swap_conditional_states(
     analyzer acts on the two photons.  Outcomes with vanishing heralding
     probability carry no conditional state.
     """
-    joint = np.kron(densify(pair_a).matrix, densify(pair_b).matrix)
+    joint = np.kron(pair_a.matrix, pair_b.matrix)
     tensor = joint.reshape(2, 2, 2, 2, 2, 2, 2, 2)  # a p b q ; a' p' b' q'
     projections: dict[str, tuple[float, DensityMatrix | None]] = {}
     for outcome in (PSI_PLUS, PSI_MINUS):
@@ -65,7 +59,7 @@ def swap_conditional_states(
     return projections
 
 
-def _outcome_probabilities(projections: dict[str, tuple]) -> dict[str, float]:
+def _analyzer_probabilities(projections: dict[str, tuple]) -> dict[str, float]:
     """Outcome probabilities, failure included, from ``swap_conditional_states``."""
     p_plus = projections[PSI_PLUS][0]
     p_minus = projections[PSI_MINUS][0]

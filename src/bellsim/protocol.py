@@ -364,17 +364,25 @@ def recorded_outcome_distribution(
     joint = flip @ (atom[:, :2] * probs)  # [recorded atom label, photon outcome]
 
     swapped = int(det.pmt_role_swapped)
-    recorded = np.empty((2, 2))
-    for pmt in range(2):
-        recorded[:, pmt] = joint[:, pmt ^ swapped] * det.pmt_efficiency(pmt)
-    acceptance = float(recorded.sum())
+    # [recorded atom label, PMT]: a C-ordered copy, because numpy sums in
+    # memory order and the pinned reports fix how the weight below rounds
+    joint = np.ascontiguousarray(joint[:, [swapped, 1 - swapped]])
+    efficiencies = np.array([det.pmt_efficiency_1, det.pmt_efficiency_2])
+    acceptance = float((joint * efficiencies).sum())
 
+    # Each part is scaled by a power of two, which is exact and so keeps every
+    # bit of the normalised result, to bring the larger weight near 1: a
+    # subnormal efficiency or dark rate then records instead of underflowing.
     p_true = source.success_probability
-    total = p_true * recorded
-    if det.dark_event_probability > 0.0:
+    p_dark = (1.0 - p_true) * det.dark_event_probability
+    e_eff = math.frexp(float(efficiencies.max()))[1]
+    e_true = e_eff + math.frexp(p_true)[1]
+    top = max(e_true, math.frexp(p_dark)[1]) if p_dark > 0.0 else e_true
+    total = math.ldexp(p_true, e_eff - top) * (joint * np.ldexp(efficiencies, -e_eff))
+    if p_dark > 0.0:
         # atom never excited: ground state through the same pulse sequence
         dark_joint = np.outer(flip @ atom[:, 2], [0.5, 0.5])
-        total = total + (1.0 - p_true) * det.dark_event_probability * dark_joint
+        total = total + math.ldexp(p_dark, -top) * dark_joint
     weight = float(total.sum())
     if weight <= 0.0:
         raise ValueError("no outcome is ever recorded with these detector settings")

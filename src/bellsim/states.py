@@ -5,12 +5,14 @@ Pure states are 4-amplitude vectors over the basis (|0s0p>, |0s1p>,
 second; mixed states are full 4x4 density matrices.  Measurement bases
 are parameterized by Bloch angles (theta, phi), and the rotation and
 measurement-operator conventions are locked to each other: rotating a
-qubit by (theta, phi) and reading out computational-basis populations is
-identical to measuring the Bloch-axis observable returned by
-``measurement_operator``.  With this convention the maximally entangled
-pair has correlation cos(theta_a - theta_b) at zero azimuth, and a
-single qubit prepared in (|0> + |1>)/sqrt(2) and rotated by (theta, phi)
-is found in |0> with probability (1 - cos(phi) sin(theta))/2.
+qubit by ``rotation_matrix`` and reading out computational-basis
+populations is identical to measuring the Bloch-axis observable returned
+by ``measurement_operator``.  Each route has one home: ``correlation``
+and ``chsh_operator`` take the operator route, and the samplers in
+``protocol`` take the rotation route.  With this convention the
+maximally entangled pair has correlation cos(theta_a - theta_b) at zero
+azimuth, and a single qubit prepared in (|0> + |1>)/sqrt(2) and rotated
+by (theta, phi) is found in |0> with probability (1 - cos(phi) sin(theta))/2.
 """
 
 from __future__ import annotations
@@ -136,32 +138,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
-class OutcomeFractions:
-    """Joint outcome probabilities (f00, f01, f10, f11), atom index first."""
-
-    f00: float
-    f01: float
-    f10: float
-    f11: float
-
-    def __post_init__(self) -> None:
-        values = (self.f00, self.f01, self.f10, self.f11)
-        for v in values:
-            if not -NORM_TOL <= v <= 1.0 + NORM_TOL:
-                raise ValueError(f"outcome fraction {v!r} outside [0, 1]")
-        total = sum(values)
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"outcome fractions sum to {total!r}, not 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.f00, self.f01, self.f10, self.f11])
-
-    @property
-    def correlation(self) -> float:
-        return self.f00 + self.f11 - self.f01 - self.f10
-
-
 _BELL_KET = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) * (1.0 / math.sqrt(2.0))
 _BELL_KET.setflags(write=False)
 _BELL_PROJECTOR = np.outer(_BELL_KET, _BELL_KET.conj())
@@ -171,14 +147,6 @@ _WHITE_NOISE = np.eye(4, dtype=complex) / 4.0
 def bell_pair_ideal() -> TwoQubitState:
     """The maximally entangled pair (|0s0p> + |1s1p>)/sqrt(2)."""
     return TwoQubitState(_BELL_KET)
-
-
-def densify(state: TwoQubitState | DensityMatrix) -> DensityMatrix:
-    """Promote a pure state to its density matrix; pass mixed states through."""
-    if isinstance(state, DensityMatrix):
-        return state
-    amps = state.amplitudes
-    return DensityMatrix(np.outer(amps, amps.conj()))
 
 
 def rotation_matrix(setting: MeasurementSetting) -> np.ndarray:
@@ -208,27 +176,12 @@ def measurement_operator(setting: MeasurementSetting) -> np.ndarray:
     return mx * SIGMA_X + my * SIGMA_Y + mz * SIGMA_Z
 
 
-def outcome_probabilities(
-    state: TwoQubitState | DensityMatrix,
-    setting_s: MeasurementSetting,
-    setting_p: MeasurementSetting,
-) -> OutcomeFractions:
-    """Joint computational-basis populations after rotating both qubits."""
-    rho = densify(state).matrix
-    u = np.kron(rotation_matrix(setting_s), rotation_matrix(setting_p))
-    diag = np.real(np.diagonal(u @ rho @ u.conj().T))
-    # Round-off from the PSD matrix product can leave tiny negatives.
-    diag = np.clip(diag, 0.0, 1.0)
-    return OutcomeFractions(*(float(v) for v in diag))
-
-
 def correlation(
-    state: TwoQubitState | DensityMatrix,
-    setting_s: MeasurementSetting,
-    setting_p: MeasurementSetting,
+    rho: DensityMatrix, setting_s: MeasurementSetting, setting_p: MeasurementSetting
 ) -> float:
-    """Correlation f00 + f11 - f01 - f10 of the two rotated readouts."""
-    return outcome_probabilities(state, setting_s, setting_p).correlation
+    """Correlation Tr(rho . M_s (x) M_p) of the atom and photon axis observables."""
+    observable = np.kron(measurement_operator(setting_s), measurement_operator(setting_p))
+    return float(np.real(np.trace(rho.matrix @ observable)))
 
 
 CORRELATION_RANGE_TOL = 1e-9
@@ -242,10 +195,10 @@ def bell_signal(q22: float, q12: float, q21: float, q11: float) -> float:
     return abs(q22 - q12) + abs(q21 + q11)
 
 
-def fidelity(rho: DensityMatrix | TwoQubitState, psi: TwoQubitState) -> float:
-    """Overlap <psi| rho |psi> of a (possibly mixed) state with a pure target."""
+def fidelity(rho: DensityMatrix, psi: TwoQubitState) -> float:
+    """Overlap <psi| rho |psi> of a state with a pure target."""
     amps = psi.amplitudes
-    value = complex(amps.conj() @ densify(rho).matrix @ amps)
+    value = complex(amps.conj() @ rho.matrix @ amps)
     if abs(value.imag) > NORM_TOL:
         raise ValueError(f"fidelity has non-real value {value!r}")
     return float(value.real)

@@ -1,9 +1,13 @@
 """Shared fixtures and independent oracle implementations.
 
-The oracles deliberately avoid the library's rotate-then-diagonal code
-path: outcome probabilities come from explicit Bloch-axis projectors, so
-the two routes check each other.  ``rotate`` turns one qubit of a
-validated state, the rotate-then-read-out side of the convention law.
+``bellsim.states.correlation`` takes the operator route, Tr(rho M_a (x) M_b)
+with M from ``measurement_operator``; the samplers in ``bellsim.protocol``
+take the rotation route, turning a qubit with ``rotation_matrix`` and
+reading out computational-basis populations.  This module holds the
+oracles both are checked against: outcome probabilities from explicit
+Bloch-axis eigenprojectors, which share no code with either route, and
+the rotate-then-read-out pair ``rotate`` and ``outcome_probabilities``,
+the rotation side of the convention law applied to validated states.
 """
 
 from __future__ import annotations
@@ -70,6 +74,22 @@ def rotate(
     if isinstance(state, TwoQubitState):
         return TwoQubitState(full @ state.amplitudes)
     return DensityMatrix(full @ state.matrix @ full.conj().T)
+
+
+def outcome_probabilities(
+    rho: DensityMatrix, setting_s: MeasurementSetting, setting_p: MeasurementSetting
+) -> np.ndarray:
+    """Joint populations (f00, f01, f10, f11), atom index first, after rotating both qubits."""
+    u = np.kron(rotation_matrix(setting_s), rotation_matrix(setting_p))
+    diag = np.real(np.diagonal(u @ rho.matrix @ u.conj().T))
+    # Round-off from the PSD matrix product can leave tiny negatives.
+    return np.clip(diag, 0.0, 1.0)
+
+
+def density(state: TwoQubitState) -> DensityMatrix:
+    """The validated density matrix |psi><psi| of a pure state."""
+    amps = state.amplitudes
+    return DensityMatrix(np.outer(amps, amps.conj()))
 
 
 def random_density_matrices(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from bellsim.network import (
     adapted_bell_angles,
     heralded_ion_state,
     swap_conditional_states,
-    _outcome_probabilities,
+    _analyzer_probabilities,
 )
 from bellsim.protocol import (
     SINGLE_PULSE,
@@ -40,11 +40,11 @@ from bellsim.protocol import (
 from bellsim.states import (
     BellAngles,
     MeasurementSetting,
-    bell_pair_ideal,
     bell_signal,
     chsh_operator,
     correlation,
     fidelity,
+    werner,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -63,7 +63,7 @@ def test_criterion_01_reference_table_recomputation():
 
 
 def test_criterion_02_ideal_state_maximum():
-    pair = bell_pair_ideal()
+    pair = werner(1.0)
     q = lambda a, b: correlation(pair, MeasurementSetting(a), MeasurementSetting(b))
     value = bell_signal(
         q(math.pi / 2, 3 * math.pi / 4),
@@ -76,7 +76,7 @@ def test_criterion_02_ideal_state_maximum():
 
 
 def test_criterion_03_correlation_law_on_grid():
-    pair = bell_pair_ideal()
+    pair = werner(1.0)
     worst = 0.0
     for theta_a in np.linspace(0.0, math.pi, 10):
         for theta_b in np.linspace(0.0, math.pi, 10):
@@ -229,9 +229,9 @@ def test_criterion_10_loophole_arithmetic():
 
 
 def test_criterion_11_swap_correctness():
-    pair = bell_pair_ideal()
+    pair = werner(1.0)
     conditionals = swap_conditional_states(pair, pair)
-    probabilities = _outcome_probabilities(conditionals)
+    probabilities = _analyzer_probabilities(conditionals)
     rng = np.random.default_rng(21)
     n = 100_000
     counts = rng.multinomial(

@@ -20,8 +20,8 @@ from bellsim.states import (
     MeasurementSetting,
     bell_pair_ideal,
     chsh_operator,
-    densify,
     fidelity,
+    werner,
 )
 
 CANONICAL = BellAngles.canonical()
@@ -161,7 +161,7 @@ class TestDualCertificate:
         result = self._check(f, angles)
         assert abs(result.duality_gap) <= 1e-12
         w = chsh_operator(angles)
-        projector = densify(bell_pair_ideal()).matrix
+        projector = werner(1.0).matrix
         if f == 1.0:
             expected = float(np.real(np.trace(projector @ w)))
             assert result.bell_min == pytest.approx(expected, abs=1e-12)
@@ -269,8 +269,7 @@ class TestSettingsInteroperability:
             MeasurementSetting(2 * math.pi / 3),
         )
         result = extremal_bell_numeric(1.0, angles)
-        ideal = bell_pair_ideal()
         operator = chsh_operator(angles)
-        expected = float(np.real(np.trace(densify(ideal).matrix @ operator)))
+        expected = float(np.real(np.trace(werner(1.0).matrix @ operator)))
         assert result.bell_max == pytest.approx(expected, abs=1e-9)
         assert result.bell_max < TSIRELSON_BOUND

@@ -1,13 +1,18 @@
 """Tests of the command-line interface: config handling, formats, exit codes."""
 
 import argparse
+import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim.cli import (
     _RUNNERS,
@@ -331,6 +336,13 @@ class TestConfigFileHandling:
         assert code == 0
         assert json.loads(out)["config"][key] == 2**63 - 1
 
+    @pytest.mark.parametrize("efficiency", ["1e-320", "5e-324"])
+    def test_subnormal_pmt_efficiency_records(self, capsys, efficiency):
+        # PMT 1 records with positive probability, however small
+        code, out, _ = run_cli(capsys, "chsh", "--pmt-eff1", efficiency, "--pmt-eff2", "0")
+        assert code == 0
+        assert json.loads(out)["config"]["pmt_efficiency_1"] == float(efficiency)
+
 
 # Today's flags of each command and the config key each one sets.
 _COMMON_FLAGS = {
@@ -521,6 +533,16 @@ class TestColdStart:
         assert result.returncode == 0, result.stderr
 
 
+# The physical failures that a schema-valid config can still describe: each
+# exits 1 with a message naming it, ``test_physical_failure_exits_1_naming_it``
+# reaches each on purpose, and the whole-range gate allows no other exit 1.
+_EXIT_1_CAUSES = {
+    "no outcome is ever recorded": ("chsh", "--pmt-eff1", "0", "--pmt-eff2", "0"),
+    "lossy link": ("swap", "--coupling", "0"),
+    "overflows a float": ("swap", "--attempt-rate", "5e-324"),
+}
+
+
 class TestRuntimeFailures:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_report_exits_1(self, capsys, monkeypatch, fmt):
@@ -542,3 +564,90 @@ class TestRuntimeFailures:
         code, _, err = run_cli(capsys, "lhv", "--grid", "8", "--output", str(tmp_path))
         assert code == 1
         assert "cannot write output" in err
+
+    @pytest.mark.parametrize("cause, argv", sorted(_EXIT_1_CAUSES.items()))
+    def test_physical_failure_exits_1_naming_it(self, capsys, cause, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert cause in err
+
+
+_FLOAT_EXTREMES = (0.0, 5e-324, 1e-300, 1.0 - 1e-16, 1.0, 1e300, 1.7e308)
+
+
+def _extremes(key, spec):
+    """Values at the extremes of a key's type that the key's own test accepts."""
+    accepts = spec.allowed[1] if spec.allowed else (lambda v: True)
+    if spec.type is int:
+        low = next(v for v in itertools.count() if accepts(v))
+        pool = (low, low + 1, 2**53, 2**63 - 1)
+    elif spec.type is bool:
+        pool = (False, True)
+    elif spec.type is str:
+        pool = ("csv", "json")
+    else:
+        pool = _FLOAT_EXTREMES
+    values = [v for v in pool if accepts(v)]
+    if key == "grid":  # the Tsirelson scan is O(N^3): above 256 one run takes seconds
+        values = [v for v in values if v <= 256]
+    if spec.type is list:
+        return st.lists(st.sampled_from(values), min_size=1, max_size=4)
+    return st.sampled_from(values)
+
+
+# Every key of every command, drawn or left to its default; ``output`` is
+# left out so that each report comes back on stdout.
+_CONFIGS = st.sampled_from(sorted(_SCHEMAS)).flatmap(
+    lambda command: st.tuples(
+        st.just(command),
+        st.fixed_dictionaries(
+            {},
+            optional={
+                key: _extremes(key, spec)
+                for key, spec in _SCHEMAS[command].items()
+                if key != "output"
+            },
+        ),
+    )
+)
+
+
+def _run_in_process(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"the report holds {name}")
+
+
+class TestWholeRange:
+    @pytest.fixture(scope="class")
+    def config_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("whole_range") / "config.json"
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=_CONFIGS)
+    def test_every_valid_config_reports_or_names_its_cause(self, config_path, case):
+        command, config = case
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = _run_in_process(command, "--config", str(config_path))
+        assert code in (0, 1, 2), err
+        if code == 2:
+            assert out == "" and err.startswith("configuration error:"), err
+        elif code == 1:
+            assert out == "" and any(cause in err for cause in _EXIT_1_CAUSES), err
+        else:
+            if config.get("format", "json") == "json":
+                json.loads(out, parse_constant=_reject_constant)
+            else:
+                for row in csv.reader(out.splitlines()):
+                    for cell in row:
+                        try:
+                            assert math.isfinite(float(cell)), f"the report holds {cell}"
+                        except ValueError:
+                            pass
+            assert _run_in_process(command, "--config", str(config_path)) == (code, out, err)

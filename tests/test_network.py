@@ -24,13 +24,11 @@ from bellsim.network import (
     chain_latency,
     heralded_ion_state,
     swap_conditional_states,
-    _outcome_probabilities,
+    _analyzer_probabilities,
 )
 from bellsim.states import (
     DensityMatrix,
-    bell_pair_ideal,
     chsh_operator,
-    densify,
     fidelity,
     werner,
 )
@@ -162,8 +160,8 @@ def _oracle_swap(pair_a: np.ndarray, pair_b: np.ndarray, outcome_ket: np.ndarray
 
 class TestEntanglementSwap:
     def test_ideal_pairs_herald_their_bell_state(self):
-        pair = densify(bell_pair_ideal()).matrix
-        conditionals = swap_conditional_states(bell_pair_ideal(), bell_pair_ideal())
+        pair = werner(1.0).matrix
+        conditionals = swap_conditional_states(werner(1.0), werner(1.0))
         for outcome in (PSI_PLUS, PSI_MINUS):
             probability, state = conditionals[outcome]
             assert probability == pytest.approx(0.25, abs=1e-12)
@@ -174,7 +172,7 @@ class TestEntanglementSwap:
             np.testing.assert_allclose(state.matrix, oracle_state, atol=1e-12)
 
     def test_heralded_output_is_pure_and_maximally_entangled(self):
-        conditionals = swap_conditional_states(bell_pair_ideal(), bell_pair_ideal())
+        conditionals = swap_conditional_states(werner(1.0), werner(1.0))
         for outcome in (PSI_PLUS, PSI_MINUS):
             _, state = conditionals[outcome]
             eigenvalues = np.linalg.eigvalsh(state.matrix)
@@ -190,7 +188,7 @@ class TestEntanglementSwap:
                 assert entropy == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_signed_bell_signal_of_heralded_states(self):
-        conditionals = swap_conditional_states(bell_pair_ideal(), bell_pair_ideal())
+        conditionals = swap_conditional_states(werner(1.0), werner(1.0))
         for outcome in (PSI_PLUS, PSI_MINUS):
             _, state = conditionals[outcome]
             operator = chsh_operator(adapted_bell_angles(outcome))
@@ -199,8 +197,8 @@ class TestEntanglementSwap:
 
     def test_sampled_success_rate(self):
         rng = np.random.default_rng(29)
-        probabilities = _outcome_probabilities(
-            swap_conditional_states(bell_pair_ideal(), bell_pair_ideal())
+        probabilities = _analyzer_probabilities(
+            swap_conditional_states(werner(1.0), werner(1.0))
         )
         n = 100_000
         counts = rng.multinomial(
@@ -211,7 +209,7 @@ class TestEntanglementSwap:
 
     def test_maximally_mixed_input_gives_mixed_output(self, rng):
         mixed = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
-        conditionals = swap_conditional_states(mixed, bell_pair_ideal())
+        conditionals = swap_conditional_states(mixed, werner(1.0))
         for outcome in (PSI_PLUS, PSI_MINUS):
             probability, state = conditionals[outcome]
             assert probability == pytest.approx(0.25, abs=1e-12)
@@ -236,7 +234,7 @@ class TestEntanglementSwap:
         # outcome heralds with exactly 1/4 whatever the mixing
         for p_a in np.linspace(0.0, 1.0, 11):
             for p_b in np.linspace(0.0, 1.0, 11):
-                probabilities = _outcome_probabilities(
+                probabilities = _analyzer_probabilities(
                     swap_conditional_states(werner(p_a), werner(p_b))
                 )
                 assert probabilities[PSI_PLUS] == pytest.approx(0.25, abs=1e-12)

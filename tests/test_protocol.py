@@ -3,10 +3,11 @@
 import hashlib
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import oracle_outcome_probabilities
+from conftest import oracle_outcome_probabilities, outcome_probabilities
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,7 @@ from bellsim.states import (
     MeasurementSetting,
     TwoQubitState,
     bell_pair_ideal,
-    outcome_probabilities,
+    correlation,
     rotation_matrix,
     werner,
 )
@@ -273,9 +274,7 @@ class TestSamplingConsistency:
         det = DetectorParams()
         n = 100_000
         counts = sample_outcome_counts(n, source, pulse, setting_p, det, rng)
-        exact = outcome_probabilities(
-            bell_pair_ideal(), MeasurementSetting(math.pi / 2), setting_p
-        ).as_array()
+        exact = outcome_probabilities(werner(1.0), MeasurementSetting(math.pi / 2), setting_p)
         for observed, f in zip(counts, exact):
             band = 5.0 * math.sqrt(f * (1.0 - f) / n)
             assert abs(observed / n - f) <= band
@@ -290,12 +289,33 @@ class TestSamplingConsistency:
         counts = _tally_events(
             iter_heralded_events(n, source, pulse, setting_p, det, rng)
         )
-        exact = outcome_probabilities(
-            bell_pair_ideal(), MeasurementSetting(math.pi / 2), setting_p
-        ).as_array()
+        exact = outcome_probabilities(werner(1.0), MeasurementSetting(math.pi / 2), setting_p)
         for observed, f in zip(counts, exact):
             band = 5.0 * math.sqrt(f * (1.0 - f) / n)
             assert abs(observed / n - f) <= band
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        werner_p=st.floats(0.0, 1.0),
+        theta_atom=angle,
+        rotation_phase=angle,
+        theta_photon=angle,
+        phi_photon=angle,
+    )
+    @example(werner_p=1.0, theta_atom=math.pi / 2, rotation_phase=0.0, theta_photon=math.pi / 4,
+             phi_photon=0.0)
+    def test_closed_form_obeys_the_convention_law(
+        self, werner_p, theta_atom, rotation_phase, theta_photon, phi_photon
+    ):
+        # The samplers rotate and read out; ``correlation`` traces against
+        # M_a (x) M_b.  With ideal detectors the two routes give one number.
+        pulse = PulseSequence(TWO_PULSE, theta_atom, rotation_phase)
+        photon = MeasurementSetting(theta_photon, phi_photon)
+        (f00, f01, f10, f11), _ = recorded_outcome_distribution(
+            SourceParams(werner_p=werner_p), pulse, photon, DetectorParams()
+        )
+        expected = correlation(werner(werner_p), pulse.effective_setting, photon)
+        assert abs(f00 + f11 - f01 - f10 - expected) <= 1e-12
 
     def test_two_sampling_paths_agree(self):
         # the closed-form conditional distribution matches the event chain,
@@ -721,6 +741,34 @@ class TestHeraldGate:
                 list(events)
         else:
             assert len(list(events)) == 5
+
+    @settings(deadline=None, derandomize=True)
+    @given(
+        efficiency=st.sampled_from((5e-324, 1e-320, 1e-310, 1e-300, 0.5)),
+        dark_rate=st.sampled_from((0.0, 5e-324, 1e-3)),
+        pmt=st.sampled_from((0, 1)),
+        waveplate=st.booleans(),
+    )
+    def test_positive_efficiency_always_records(self, efficiency, dark_rate, pmt, waveplate):
+        # Only one PMT sees light, through a subnormal efficiency at worst: its
+        # heralds still record, in their exact share against the dark clicks,
+        # which split evenly over both PMTs.
+        source = SourceParams()
+        efficiencies = {f"pmt_efficiency_{pmt + 1}": efficiency, f"pmt_efficiency_{2 - pmt}": 0.0}
+        det = DetectorParams(dark_event_probability=dark_rate, **efficiencies)
+        if waveplate:
+            det = det.with_swapped_pmts()
+        distribution, _ = recorded_outcome_distribution(
+            source, self.pulse, self.setting_p, det
+        )
+        # each photon outcome, so the one routed to the lit PMT, has probability 1/2
+        herald = Fraction(source.success_probability) * Fraction(efficiency) / 2
+        dark = Fraction((1.0 - source.success_probability) * dark_rate)
+        expected = (herald + dark / 2) / (herald + dark)
+        assert abs(distribution.sum() - 1.0) <= 1e-12
+        assert distribution.reshape(2, 2).sum(axis=0)[pmt] == pytest.approx(
+            float(expected), abs=1e-12
+        )
 
     @pytest.mark.parametrize("n_attempts", [1, 5000, 20_000])
     def test_certain_herald_records_every_attempt(self, n_attempts):

@@ -12,16 +12,13 @@ from bellsim.states import (
     BellAngles,
     DensityMatrix,
     MeasurementSetting,
-    OutcomeFractions,
     TwoQubitState,
     bell_pair_ideal,
     bell_signal,
     chsh_operator,
     correlation,
-    densify,
     fidelity,
     measurement_axis,
-    outcome_probabilities,
     rotation_matrix,
     werner,
 )
@@ -29,8 +26,10 @@ from bellsim.states import (
 from conftest import (
     ATOM,
     PHOTON,
+    density,
     oracle_correlation,
     oracle_outcome_probabilities,
+    outcome_probabilities,
     random_density_matrices,
     random_pure_pair,
     rotate,
@@ -131,12 +130,6 @@ class TestDomainTypes:
         assert rho.matrix[0, 1] == 0.0
         assert not rho.matrix.flags.writeable
 
-    def test_outcome_fractions_validate(self):
-        with pytest.raises(ValueError, match="sum"):
-            OutcomeFractions(0.5, 0.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            OutcomeFractions(-0.2, 0.5, 0.5, 0.2)
-
     @given(theta=finite_angles, phi=finite_angles)
     def test_setting_canonicalization_preserves_axis(self, theta, phi):
         setting = MeasurementSetting(theta, phi)
@@ -175,13 +168,13 @@ class TestRotation:
 
     def test_pi_rotation_swaps_populations(self):
         rotated = rotate(bell_pair_ideal(), ATOM, MeasurementSetting(math.pi, 0.0))
-        fractions = outcome_probabilities(
-            rotated, MeasurementSetting(0.0), MeasurementSetting(0.0)
+        f00, f01, f10, f11 = outcome_probabilities(
+            density(rotated), MeasurementSetting(0.0), MeasurementSetting(0.0)
         )
-        assert fractions.f01 == pytest.approx(0.5, abs=1e-12)
-        assert fractions.f10 == pytest.approx(0.5, abs=1e-12)
-        assert fractions.f00 == pytest.approx(0.0, abs=1e-12)
-        assert fractions.f11 == pytest.approx(0.0, abs=1e-12)
+        assert f01 == pytest.approx(0.5, abs=1e-12)
+        assert f10 == pytest.approx(0.5, abs=1e-12)
+        assert f00 == pytest.approx(0.0, abs=1e-12)
+        assert f11 == pytest.approx(0.0, abs=1e-12)
 
     def test_rotation_preserves_norm_and_positivity(self, rng):
         state = TwoQubitState(random_pure_pair(rng))
@@ -202,28 +195,28 @@ class TestRotation:
             sb = (rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             got = outcome_probabilities(
                 DensityMatrix(rho), MeasurementSetting(*sa), MeasurementSetting(*sb)
-            ).as_array()
+            )
             np.testing.assert_allclose(got, oracle_outcome_probabilities(rho, sa, sb), atol=1e-12)
 
 
 class TestOutcomeProbabilities:
     def test_aligned_schmidt_basis(self):
         fractions = outcome_probabilities(
-            bell_pair_ideal(), MeasurementSetting(0.0), MeasurementSetting(0.0)
+            werner(1.0), MeasurementSetting(0.0), MeasurementSetting(0.0)
         )
-        np.testing.assert_allclose(fractions.as_array(), [0.5, 0.0, 0.0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(fractions, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
     def test_quarter_turn_populations(self):
-        fractions = outcome_probabilities(
-            bell_pair_ideal(), MeasurementSetting(0.0), MeasurementSetting(math.pi / 4)
+        f00, f01, f10, f11 = outcome_probabilities(
+            werner(1.0), MeasurementSetting(0.0), MeasurementSetting(math.pi / 4)
         )
         expected_same = (1.0 + math.cos(math.pi / 4)) / 4.0  # 0.42677669...
         expected_diff = (1.0 - math.cos(math.pi / 4)) / 4.0  # 0.07322330...
-        assert fractions.f00 == pytest.approx(expected_same, abs=1e-12)
-        assert fractions.f11 == pytest.approx(expected_same, abs=1e-12)
-        assert fractions.f01 == pytest.approx(expected_diff, abs=1e-12)
-        assert fractions.f10 == pytest.approx(expected_diff, abs=1e-12)
-        assert fractions.f00 == pytest.approx(0.42678, abs=5e-6)
+        assert f00 == pytest.approx(expected_same, abs=1e-12)
+        assert f11 == pytest.approx(expected_same, abs=1e-12)
+        assert f01 == pytest.approx(expected_diff, abs=1e-12)
+        assert f10 == pytest.approx(expected_diff, abs=1e-12)
+        assert f00 == pytest.approx(0.42678, abs=5e-6)
 
     def test_maximally_mixed_is_rotation_invariant(self, rng):
         mixed = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
@@ -231,38 +224,36 @@ class TestOutcomeProbabilities:
             sa = MeasurementSetting(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             sb = MeasurementSetting(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             np.testing.assert_allclose(
-                outcome_probabilities(mixed, sa, sb).as_array(), [0.25] * 4, atol=1e-12
+                outcome_probabilities(mixed, sa, sb), [0.25] * 4, atol=1e-12
             )
 
     def test_fractions_sum_to_one_and_match_correlation(self, rng):
         for rho in random_density_matrices(rng, 50):
             sa = MeasurementSetting(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             sb = MeasurementSetting(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            fractions = outcome_probabilities(DensityMatrix(rho), sa, sb)
-            assert abs(sum(fractions.as_array()) - 1.0) < 1e-12
+            f00, f01, f10, f11 = outcome_probabilities(DensityMatrix(rho), sa, sb)
+            assert abs(f00 + f01 + f10 + f11 - 1.0) < 1e-12
             # q = 2(f00 + f11) - 1
             q = correlation(DensityMatrix(rho), sa, sb)
-            assert q == pytest.approx(2.0 * (fractions.f00 + fractions.f11) - 1.0, abs=1e-12)
+            assert q == pytest.approx(2.0 * (f00 + f11) - 1.0, abs=1e-12)
 
 
 class TestCorrelation:
     def test_ideal_pair_law_on_grid(self):
-        pair = bell_pair_ideal()
+        pair = werner(1.0)
         for theta_a in np.linspace(0.0, math.pi, 10):
             for theta_b in np.linspace(0.0, math.pi, 10):
                 q = correlation(pair, MeasurementSetting(theta_a), MeasurementSetting(theta_b))
                 assert abs(q - math.cos(theta_a - theta_b)) < 1e-12
 
     def test_aligned_bases_are_perfectly_correlated(self):
-        pair = bell_pair_ideal()
+        pair = werner(1.0)
         for theta in (0.0, 0.3, math.pi / 4, 2.5):
             q = correlation(pair, MeasurementSetting(theta), MeasurementSetting(theta))
             assert q == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_turn_value(self):
-        q = correlation(
-            bell_pair_ideal(), MeasurementSetting(math.pi / 4), MeasurementSetting(0.0)
-        )
+        q = correlation(werner(1.0), MeasurementSetting(math.pi / 4), MeasurementSetting(0.0))
         assert q == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
 
     def test_werner_scales_the_law(self):
@@ -276,9 +267,7 @@ class TestCorrelation:
 
 class TestBellSignal:
     def _ideal_q(self, theta_a, theta_b):
-        return correlation(
-            bell_pair_ideal(), MeasurementSetting(theta_a), MeasurementSetting(theta_b)
-        )
+        return correlation(werner(1.0), MeasurementSetting(theta_a), MeasurementSetting(theta_b))
 
     def test_canonical_maximum(self):
         q22 = self._ideal_q(math.pi / 2, 3 * math.pi / 4)
@@ -292,7 +281,7 @@ class TestBellSignal:
 
     def test_product_state_at_canonical_angles(self):
         # q = cos(theta_a) * cos(theta_b) for |0s0p>
-        product = TwoQubitState(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+        product = density(TwoQubitState(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)))
         q = lambda a, b: correlation(product, MeasurementSetting(a), MeasurementSetting(b))
         for theta_a in (0.0, math.pi / 2):
             for theta_b in (math.pi / 4, 3 * math.pi / 4):
@@ -354,7 +343,7 @@ class TestBellSignal:
 class TestFidelity:
     def test_self_fidelity(self):
         pair = bell_pair_ideal()
-        assert fidelity(densify(pair), pair) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(density(pair), pair) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_overlap(self):
         mixed = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
@@ -381,7 +370,7 @@ class TestFidelity:
 class TestWerner:
     def test_endpoints(self):
         np.testing.assert_allclose(
-            werner(1.0).matrix, densify(bell_pair_ideal()).matrix, atol=1e-15
+            werner(1.0).matrix, density(bell_pair_ideal()).matrix, atol=1e-15
         )
         np.testing.assert_allclose(werner(0.0).matrix, np.eye(4) / 4.0, atol=1e-15)
 
@@ -401,11 +390,11 @@ class TestChshOperator:
 
     @pytest.mark.parametrize(
         "state, expected",
-        [(bell_pair_ideal(), TSIRELSON), (werner(0.82667), TSIRELSON * 0.82667)],
+        [(werner(1.0), TSIRELSON), (werner(0.82667), TSIRELSON * 0.82667)],
         ids=["ideal", "werner"],
     )
     def test_ideal_pair_expectation(self, state, expected):
-        rho = densify(state).matrix
+        rho = state.matrix
         value = np.real(np.trace(rho @ chsh_operator(CANONICAL)))
         assert value == pytest.approx(expected, abs=1e-12)
 
