@@ -1,16 +1,16 @@
 """Bell-signal bounds: fidelity-constrained extremes, LHV ceiling, Tsirelson scan.
 
-The fidelity-constrained extremization uses the signed operator form of
-the CHSH combination (no absolute values): at the canonical angles the
-CHSH observable has spectrum {2*sqrt(2), 0, 0, -2*sqrt(2)} with the ideal
-pair as its top eigenvector and no cross terms, so a state constrained to
-overlap F with the ideal pair reaches at most 2*sqrt(2)*F and at least
-2*sqrt(2)*(2F - 1).  The numeric extremizer solves the same problem
-exactly at any angles: an optimal state is pure, so one Lagrange
-multiplier fixes it, and the multiplier's dual bound certifies the
-result through the reported duality gap.  It also reports the
-absolute-value form evaluated on the witness states, which can only be
-larger.
+The fidelity-constrained window uses the signed operator form W of the
+CHSH combination (no absolute values).  Every setting it accepts has
+azimuth 0 or pi, so all four Bloch axes lie in the x-z plane, where W is
+block-diagonal in the Bell basis with blocks {Phi+, Psi-} and {Phi-, Psi+}
+(the Horodecki picture of CHSH, Phys. Lett. A 200, 340 (1995)).  W then
+couples the ideal pair Phi+ to Psi- alone, and the window has a closed
+form at every in-plane angle; at the canonical angles it is
+[2*sqrt(2)*(2F - 1), 2*sqrt(2)*F].  The solver returns pure witness
+states, certifies each extreme by a Lagrange dual bound (the reported
+duality gap), and evaluates the absolute-value form, which can only be
+larger, on the witnesses.
 """
 
 from __future__ import annotations
@@ -68,33 +68,28 @@ def _check_fidelity(f: float) -> None:
         raise ValueError(f"fidelity {f!r} outside [0, 1]")
 
 
-def extremal_bell_closed_form(f: float) -> tuple[float, float]:
-    """Signed Bell-signal window (min, max) at canonical angles for overlap f.
-
-    max = 2*sqrt(2)*f, min = 2*sqrt(2)*(2f - 1); the minimum is the signed
-    value and goes negative below f = 1/2.
-    """
-    _check_fidelity(f)
-    return TSIRELSON_BOUND * (2.0 * f - 1.0), TSIRELSON_BOUND * f
-
-
 def _max_expectation(
     w: np.ndarray, target: np.ndarray, f: float
 ) -> tuple[float, np.ndarray, float]:
-    """max Tr(rho W) over density matrices with <target|rho|target> = f.
+    """max Tr(rho W) over density matrices with <target|rho|target> = f, W in-plane.
 
     Returns (value, pure witness, duality gap).  An optimal state is pure,
     v = sqrt(f)|t> + sqrt(1-f) sum_i x_i|e_i>, with e_i the eigenvectors of
     W on the complement of t (eigenvalues c_i, top last) and h_i = <e_i|W|t>.
     With k = sqrt(f(1-f))|h|, stationarity gives
     x_i = (h_i/|h|) / (m + (1-f)(c_top - c_i)/k) for a scaled multiplier m
-    in [0, 1], fixed by |x| = 1 and found by bisection.  Every m > 0 also
-    gives the Lagrange dual bound
-    f W_tt + (1-f) c_top + k (m + sum_i |h_i/|h||^2 / (m + (1-f)(c_top - c_i)/k)).
-    When |x| < 1 even as m -> 0 (h has no weight on the top of W, as at the
-    canonical angles, or k = 0 at f = 0 and f = 1), the top component takes
-    up the remaining norm.  Every quantity stays of the order of |W|, so
-    the result holds to rounding over all of [0, 1].
+    in [0, 1], fixed by |x| = 1.  In the block picture h lies on a single
+    eigenvalue c of W on the complement (the Psi- direction), so the root is
+    closed: with lift = (1-f)(c_top - c)/k, taken as the |h_i/|h||^2-weighted
+    mean, x = h/|h| at m = 1 - lift when lift <= 1, and x = (h/|h|)/lift as
+    m -> 0 otherwise.  The top component then takes up the remaining norm,
+    as it does when k = 0 (at f = 0 and f = 1, or at the canonical angles,
+    where h = 0).  Every m > 0 gives the Lagrange dual bound
+    f W_tt + (1-f) c_top + k (m + sum_i |h_i/|h||^2 / (m + (1-f)(c_top - c_i)/k)),
+    evaluated at m = max(1 - lift, |h_top/|h||, 1e-15).  The middle term is
+    zero in exact arithmetic unless lift = 0; it keeps the bound tight when
+    |h| is at the rounding level and its direction is noise.  Every quantity
+    stays of the order of |W|, so the result holds to rounding over [0, 1].
     """
     complement = np.linalg.eigh(np.outer(target, target.conj()))[1][:, :3]
     c, rotation = np.linalg.eigh(complement.conj().T @ w @ complement)
@@ -105,17 +100,12 @@ def _max_expectation(
     x = np.zeros(3, dtype=complex)
     if k > 0.0:
         unit = h / np.linalg.norm(h)
-        with np.errstate(over="ignore"):  # an infinite spread only zeroes its component
-            spread = (1.0 - f) * (c[-1] - c) / k
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-15:
-            mid = 0.5 * (lo + hi)
-            if np.sum(np.abs(unit / (mid + spread)) ** 2) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        x = unit / (hi + spread)
-        dual += k * (hi + float(np.sum(np.abs(unit) ** 2 / (hi + spread))))
+        weight = np.abs(unit) ** 2
+        lift = (1.0 - f) * float(weight @ (c[-1] - c)) / k
+        m = max(1.0 - lift, float(abs(unit[-1])), 1e-15)
+        x = unit / max(lift, 1.0)
+        with np.errstate(over="ignore"):  # an infinite spread only zeroes its term
+            dual += k * (m + float(np.sum(weight / (m + (1.0 - f) * (c[-1] - c) / k))))
     # x / |x| is NaN once |x| nears 1e-300; exp(i arg x) is a unit phase there and 1 at 0.
     phase = np.exp(1j * np.angle(x[-1]))
     x[-1] = phase * math.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(x[:-1]) ** 2))))
@@ -141,9 +131,13 @@ def extremal_bell_numeric(f: float, angles: BellAngles) -> ExtremalResult:
     result carries the extremal witness states, the absolute-value
     form evaluated on them, the larger of the two duality gaps, and a
     convergence flag (gap at most 1e-9).  Fidelities below 1/2 are allowed
-    but flagged out-of-regime.
+    but flagged out-of-regime.  A setting with an azimuth other than 0 or
+    pi is out of the x-z plane and raises ``ValueError``.
     """
     _check_fidelity(f)
+    for setting in (angles.a1, angles.a2, angles.b1, angles.b2):
+        if setting.phi not in (0.0, math.pi):
+            raise ValueError(f"setting azimuth {setting.phi!r} is out of the x-z plane (0 or pi)")
     operator = chsh_operator(angles)
     target = bell_pair_ideal()
     max_value, max_rho, max_gap = _max_expectation(operator, target.amplitudes, f)

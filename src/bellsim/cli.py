@@ -355,7 +355,7 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
     """fidelity-constrained Bell-signal window"""
     import numpy as np
 
-    from .bounds import extremal_bell_closed_form, extremal_bell_numeric
+    from .bounds import extremal_bell_numeric
     from .states import BellAngles, bell_pair_ideal, fidelity
 
     if config["fidelity"] is None:
@@ -365,7 +365,6 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
     if len(angles_pi) != 4:
         raise ConfigError("bounds: angles_pi needs exactly four values (a1, a2, b1, b2)")
     angles = BellAngles.from_thetas(*(a * math.pi for a in angles_pi))
-    closed_min, closed_max = extremal_bell_closed_form(f)
     numeric = extremal_bell_numeric(f, angles)
     if numeric.out_of_regime:
         print(
@@ -377,7 +376,7 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
     target = bell_pair_ideal()
     report["results"] = {
         "fidelity": f,
-        "closed_form": {"bell_min": closed_min, "bell_max": closed_max},
+        "closed_form": {"bell_min": numeric.bell_min, "bell_max": numeric.bell_max},
         "numeric": {
             "bell_min": numeric.bell_min,
             "bell_max": numeric.bell_max,

@@ -8,6 +8,11 @@ oracles both are checked against: outcome probabilities from explicit
 Bloch-axis eigenprojectors, which share no code with either route, and
 the rotate-then-read-out pair ``rotate`` and ``outcome_probabilities``,
 the rotation side of the convention law applied to validated states.
+
+It also holds two oracles of the Bell window that ``bellsim.bounds``
+solves in closed form: the canonical-angle formula
+[2*sqrt(2)*(2F - 1), 2*sqrt(2)*F] and a bisection on the scaled
+multiplier of the stationarity equation, which holds at any azimuth.
 """
 
 from __future__ import annotations
@@ -84,6 +89,56 @@ def outcome_probabilities(
     diag = np.real(np.diagonal(u @ rho.matrix @ u.conj().T))
     # Round-off from the PSD matrix product can leave tiny negatives.
     return np.clip(diag, 0.0, 1.0)
+
+
+def canonical_window(f: float) -> tuple[float, float]:
+    """Signed Bell window (min, max) at the canonical angles for overlap f."""
+    return 2.0 * math.sqrt(2.0) * (2.0 * f - 1.0), 2.0 * math.sqrt(2.0) * f
+
+
+def bisection_max_expectation(
+    w: np.ndarray, target: np.ndarray, f: float
+) -> tuple[float, np.ndarray, float]:
+    """max Tr(rho W) under <target|rho|target> = f, by bisection; any azimuth.
+
+    Returns (value, pure witness, duality gap).  The pure optimum is
+    v = sqrt(f)|t> + sqrt(1-f) sum_i x_i|e_i>, with e_i the eigenvectors of
+    W on the complement of t (eigenvalues c_i, top last), h_i = <e_i|W|t>
+    and k = sqrt(f(1-f))|h|.  Stationarity gives
+    x_i = (h_i/|h|) / (m + (1-f)(c_top - c_i)/k), and 50 halvings of
+    m in [0, 1] fix |x| = 1; the top component takes up any norm left.
+    """
+    complement = np.linalg.eigh(np.outer(target, target.conj()))[1][:, :3]
+    c, rotation = np.linalg.eigh(complement.conj().T @ w @ complement)
+    basis = complement @ rotation
+    h = basis.conj().T @ (w @ target)
+    k = math.sqrt(f * (1.0 - f)) * float(np.linalg.norm(h))
+    dual = f * float(np.real(np.vdot(target, w @ target))) + (1.0 - f) * float(c[-1])
+    x = np.zeros(3, dtype=complex)
+    if k > 0.0:
+        unit = h / np.linalg.norm(h)
+        with np.errstate(over="ignore"):  # an infinite spread only zeroes its component
+            spread = (1.0 - f) * (c[-1] - c) / k
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            if np.sum(np.abs(unit / (mid + spread)) ** 2) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        x = unit / (hi + spread)
+        dual += k * (hi + float(np.sum(np.abs(unit) ** 2 / (hi + spread))))
+    phase = np.exp(1j * np.angle(x[-1]))
+    x[-1] = phase * math.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(x[:-1]) ** 2))))
+    v = math.sqrt(f) * target + math.sqrt(1.0 - f) * (basis @ x)
+    value = float(np.real(np.vdot(v, w @ v)))
+    return value, np.outer(v, v.conj()), dual - value
+
+
+def bisection_window(f: float, w: np.ndarray) -> tuple[float, float]:
+    """Signed Bell window (min, max) of the operator w at overlap f with the ideal pair."""
+    target = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    return -bisection_max_expectation(-w, target, f)[0], bisection_max_expectation(w, target, f)[0]
 
 
 def density(state: TwoQubitState) -> DensityMatrix:

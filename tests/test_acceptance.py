@@ -10,10 +10,10 @@ import sys
 import time
 
 import numpy as np
+from conftest import canonical_window
 
 from bellsim.bounds import (
     enumerate_strategies,
-    extremal_bell_closed_form,
     extremal_bell_numeric,
     tsirelson_scan,
 )
@@ -88,21 +88,21 @@ def test_criterion_03_correlation_law_on_grid():
 
 def test_criterion_04_fidelity_window():
     start = time.time()
-    closed_min, closed_max = extremal_bell_closed_form(0.87)
     numeric = extremal_bell_numeric(0.87, BellAngles.canonical())
     elapsed = time.time() - start
+    closed_min, closed_max = canonical_window(0.87)
     ok = (
-        abs(closed_min - 2.0930) <= 5e-5
-        and abs(closed_max - 2.4607) <= 5e-5
-        and round(closed_min, 2) == 2.09
-        and round(closed_max, 2) == 2.46
+        abs(numeric.bell_min - 2.0930) <= 5e-5
+        and abs(numeric.bell_max - 2.4607) <= 5e-5
+        and round(numeric.bell_min, 2) == 2.09
+        and round(numeric.bell_max, 2) == 2.46
         and abs(numeric.bell_min - closed_min) <= 1e-3
         and abs(numeric.bell_max - closed_max) <= 1e-3
         and elapsed < 10.0
     )
     _report(
         4,
-        f"F = 0.87 window (2.0930, 2.4607); numeric agrees to 1e-3 in {elapsed:.1f}s",
+        f"F = 0.87 window (2.0930, 2.4607); 2*sqrt(2)*[2F - 1, F] agrees to 1e-3 in {elapsed:.1f}s",
         ok,
     )
 

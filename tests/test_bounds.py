@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import bisection_window, canonical_window
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -11,7 +12,6 @@ from bellsim.bounds import (
     LHV_BOUND,
     TSIRELSON_BOUND,
     enumerate_strategies,
-    extremal_bell_closed_form,
     extremal_bell_numeric,
     tsirelson_scan,
 )
@@ -27,9 +27,17 @@ from bellsim.states import (
 CANONICAL = BellAngles.canonical()
 
 
+def _window(f, angles=CANONICAL):
+    result = extremal_bell_numeric(f, angles)
+    return result.bell_min, result.bell_max
+
+
 class TestClosedForm:
+    """The solver's window at the canonical angles against 2*sqrt(2)*[2F - 1, F]."""
+
     def test_reference_fidelity_window(self):
-        b_min, b_max = extremal_bell_closed_form(0.87)
+        b_min, b_max = _window(0.87)
+        assert (b_min, b_max) == pytest.approx(canonical_window(0.87), abs=1e-12)
         assert b_min == pytest.approx(2.0930, abs=5e-5)
         assert b_max == pytest.approx(2.4607, abs=5e-5)
         # the published claim, after rounding
@@ -37,30 +45,30 @@ class TestClosedForm:
         assert round(b_max, 2) == 2.46
 
     def test_pure_target(self):
-        b_min, b_max = extremal_bell_closed_form(1.0)
+        b_min, b_max = _window(1.0)
         assert b_min == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
         assert b_max == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
 
     def test_three_quarters(self):
-        b_min, b_max = extremal_bell_closed_form(0.75)
+        b_min, b_max = _window(0.75)
         assert b_min == pytest.approx(1.41421, abs=5e-6)
         assert b_max == pytest.approx(2.12132, abs=5e-6)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            extremal_bell_closed_form(1.01)
+            _window(1.01)
         with pytest.raises(ValueError):
-            extremal_bell_closed_form(-0.2)
+            _window(-0.2)
 
     def test_monotone_maximum_over_sweep(self):
-        values = [extremal_bell_closed_form(f)[1] for f in np.linspace(0.0, 1.0, 50)]
+        values = [_window(f)[1] for f in np.linspace(0.0, 1.0, 50)]
         assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(values, values[1:]))
 
 
 class TestNumericExtremes:
     def test_matches_closed_form_at_reference_fidelity(self):
         result = extremal_bell_numeric(0.87, CANONICAL)
-        closed_min, closed_max = extremal_bell_closed_form(0.87)
+        closed_min, closed_max = canonical_window(0.87)
         assert result.bell_max == pytest.approx(closed_max, abs=1e-9)
         assert result.bell_min == pytest.approx(closed_min, abs=1e-9)
         assert result.converged
@@ -73,7 +81,7 @@ class TestNumericExtremes:
 
     @pytest.mark.parametrize("f", [0.6, 0.75, 0.87, 0.95])
     def test_brackets_closed_form(self, f):
-        closed_min, closed_max = extremal_bell_closed_form(f)
+        closed_min, closed_max = canonical_window(f)
         result = extremal_bell_numeric(f, CANONICAL)
         assert result.bell_min == pytest.approx(closed_min, abs=1e-9)
         assert result.bell_max == pytest.approx(closed_max, abs=1e-9)
@@ -96,7 +104,7 @@ class TestNumericExtremes:
     def test_low_fidelity_flagged_but_computed(self):
         result = extremal_bell_numeric(0.3, CANONICAL)
         assert result.out_of_regime
-        closed_min, closed_max = extremal_bell_closed_form(0.3)
+        closed_min, closed_max = canonical_window(0.3)
         assert result.bell_min == pytest.approx(closed_min, abs=1e-9)
         assert result.bell_min < 0.0
         assert result.bell_max == pytest.approx(closed_max, abs=1e-9)
@@ -106,11 +114,15 @@ class TestNumericExtremes:
             extremal_bell_numeric(1.3, CANONICAL)
 
 
+# Every setting the solver accepts: theta anywhere, azimuth 0 or pi (canonicalisation
+# of theta outside [0, pi] flips one into the other).
 _SETTINGS = st.builds(
     MeasurementSetting,
-    st.floats(0.0, 2.0 * math.pi),
-    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-3.0 * math.pi, 3.0 * math.pi),
+    st.sampled_from((0.0, math.pi)),
 )
+# The custom angles (1.5, 0.4, -0.15, 0.9)*pi: a1 and b1 canonicalise to azimuth pi.
+_AZIMUTH_PI = vars(BellAngles.from_thetas(*(a * math.pi for a in (1.5, 0.4, -0.15, 0.9))))
 _Z = MeasurementSetting(0.0, 0.0)
 
 
@@ -120,8 +132,8 @@ def _dual_bound(w, projector, f, lambdas):
 
 
 class TestDualCertificate:
-    """Each extreme must be attained by a feasible witness and lie below
-    every value of the SDP dual, which certifies it without a second solver."""
+    """Each extreme must be attained by a feasible witness, lie below
+    every value of the SDP dual, and match the bisection oracle."""
 
     def _check(self, f, angles):
         result = extremal_bell_numeric(f, angles)
@@ -138,6 +150,8 @@ class TestDualCertificate:
         assert result.bell_max <= _dual_bound(w, projector, f, lambdas) + 1e-9
         assert -result.bell_min <= _dual_bound(-w, projector, f, lambdas) + 1e-9
         assert result.converged
+        oracle = bisection_window(f, w)
+        assert (result.bell_min, result.bell_max) == pytest.approx(oracle, abs=1e-12)
         return result
 
     @given(
@@ -147,13 +161,31 @@ class TestDualCertificate:
         b1=_SETTINGS,
         b2=_SETTINGS,
     )
-    # A tiny but nonzero azimuth leaves a subnormal top component, whose phase
-    # x / |x| came out NaN and broke the witness's Hermiticity.
-    @example(f=0.5, a1=_Z, a2=_Z, b1=MeasurementSetting(1.0, 1e-300), b2=_Z)
-    @example(f=0.87, a1=_Z, a2=_Z, b1=MeasurementSetting(1.0, 1e-300), b2=_Z)
-    @example(f=0.5, a1=_Z, a2=_Z, b1=MeasurementSetting(1.0, 2.225073858507e-311), b2=_Z)
+    @example(f=0.0, **_AZIMUTH_PI)
+    @example(f=1e-30, **_AZIMUTH_PI)
+    @example(f=0.5, **_AZIMUTH_PI)
+    @example(f=1.0 - 1e-16, **_AZIMUTH_PI)
+    @example(f=1.0, **_AZIMUTH_PI)
+    # Equal thetas leave |h| at the rounding level, with noise on the top eigenvector;
+    # a dual evaluated at m = 1e-15 there had a gap of 0.09.
+    @example(
+        f=0.5,
+        a1=MeasurementSetting(0.5, 0.0),
+        a2=MeasurementSetting(0.5, math.pi),
+        b1=MeasurementSetting(0.5, math.pi),
+        b2=MeasurementSetting(0.5, 0.0),
+    )
     def test_witnesses_and_weak_duality(self, f, a1, a2, b1, b2):
         self._check(f, BellAngles(a1, a2, b1, b2))
+
+    # A tiny but nonzero azimuth is out of the plane as much as phi = 1 is.
+    @pytest.mark.parametrize(
+        "f, phi", [(0.5, 1.0), (0.5, 1e-300), (0.87, 1e-300), (0.5, 2.225073858507e-311)]
+    )
+    def test_out_of_plane_setting_is_rejected(self, f, phi):
+        angles = BellAngles(_Z, _Z, MeasurementSetting(1.0, phi), _Z)
+        with pytest.raises(ValueError, match="out of the x-z plane"):
+            extremal_bell_numeric(f, angles)
 
     @pytest.mark.parametrize("f", [0.0, 1.0])
     def test_endpoint_fidelities_at_custom_angles(self, f):

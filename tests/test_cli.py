@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import bisection_window, canonical_window
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from bellsim.cli import (
     main,
     resolve_config,
 )
+from bellsim.states import BellAngles, chsh_operator
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +106,9 @@ class TestBoundsCommand:
         numeric = report["results"]["numeric"]
         assert closed["bell_min"] == pytest.approx(2.0930, abs=5e-5)
         assert closed["bell_max"] == pytest.approx(2.4607, abs=5e-5)
+        oracle_min, oracle_max = canonical_window(0.87)
+        assert abs(closed["bell_min"] - oracle_min) <= 1e-9
+        assert abs(closed["bell_max"] - oracle_max) <= 1e-9
         assert abs(numeric["bell_min"] - closed["bell_min"]) <= 1e-9
         assert abs(numeric["bell_max"] - closed["bell_max"]) <= 1e-9
         assert numeric["converged"] is True
@@ -114,10 +119,26 @@ class TestBoundsCommand:
             capsys, "bounds", "--fidelity", "0.87", "--angles", "0.1,0.4,0.15,0.9"
         )
         assert code == 0
-        numeric = json.loads(out)["results"]["numeric"]
+        results = json.loads(out)["results"]
+        numeric = results["numeric"]
         assert numeric["bell_min"] == pytest.approx(1.759693454, abs=1e-6)
         assert numeric["bell_max"] == pytest.approx(2.352775826, abs=1e-6)
         assert numeric["converged"] is True
+        assert results["closed_form"]["bell_min"] == numeric["bell_min"]
+        assert results["closed_form"]["bell_max"] == numeric["bell_max"]
+
+    def test_azimuth_pi_angles(self, capsys):
+        # a1 = 1.5*pi and b1 = -0.15*pi canonicalise to azimuth pi: still in the x-z plane.
+        code, out, _ = run_cli(
+            capsys, "bounds", "--fidelity", "0.87", "--angles", "1.5,0.4,-0.15,0.9"
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        angles = BellAngles.from_thetas(*(a * math.pi for a in (1.5, 0.4, -0.15, 0.9)))
+        oracle = bisection_window(0.87, chsh_operator(angles))
+        for section in ("closed_form", "numeric"):
+            window = (results[section]["bell_min"], results[section]["bell_max"])
+            assert window == pytest.approx(oracle, abs=1e-12)
 
     def test_unit_fidelity(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--fidelity", "1.0")
