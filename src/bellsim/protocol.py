@@ -191,10 +191,23 @@ class EventRecord(NamedTuple):
     pmt_role_swapped: bool
 
 
+def _herald_parts(
+    source: SourceParams, det: DetectorParams
+) -> tuple[tuple[float, int], tuple[float, int]]:
+    """Per-attempt true-herald and dark-click probabilities, as ``math.frexp`` pairs.
+
+    A dark click needs an attempt that emitted nothing, so its probability
+    is (1 - p_true) * dark rate; the mantissas are multiplied apart from the
+    exponents, so a subnormal dark rate keeps every bit.
+    """
+    p_true = source.success_probability
+    (m_rest, e_rest), (m_rate, e_rate) = map(math.frexp, (1.0 - p_true, det.dark_event_probability))
+    return math.frexp(p_true), (m_rest * m_rate, e_rest + e_rate)
+
+
 def _herald_probability(source: SourceParams, det: DetectorParams) -> tuple[float, float]:
     """Per-attempt herald probability and the share of heralds that are dark clicks."""
-    p_true = source.success_probability
-    p_dark = (1.0 - p_true) * det.dark_event_probability
+    p_true, p_dark = (math.ldexp(*part) for part in _herald_parts(source, det))
     return p_true + p_dark, (p_dark / (p_true + p_dark) if p_dark > 0.0 else 0.0)
 
 
@@ -371,21 +384,20 @@ def recorded_outcome_distribution(
     acceptance = float((joint * efficiencies).sum())
 
     # Each part is scaled by a power of two, which is exact and so keeps every
-    # bit of the normalised result, to bring the larger weight near 1: a
-    # subnormal efficiency or dark rate then records instead of underflowing.
-    p_true = source.success_probability
-    p_dark = (1.0 - p_true) * det.dark_event_probability
-    e_eff = math.frexp(float(efficiencies.max()))[1]
-    e_true = e_eff + math.frexp(p_true)[1]
-    top = max(e_true, math.frexp(p_dark)[1]) if p_dark > 0.0 else e_true
-    total = math.ldexp(p_true, e_eff - top) * (joint * np.ldexp(efficiencies, -e_eff))
-    if p_dark > 0.0:
-        # atom never excited: ground state through the same pulse sequence
-        dark_joint = np.outer(flip @ atom[:, 2], [0.5, 0.5])
-        total = total + math.ldexp(p_dark, -top) * dark_joint
-    weight = float(total.sum())
-    if weight <= 0.0:
+    # bit of the normalised result, to bring the larger nonzero weight near 1:
+    # a subnormal efficiency or dark rate then records instead of underflowing.
+    (m_true, e_true), (m_dark, e_dark) = _herald_parts(source, det)
+    m_eff, e_eff = math.frexp(float(efficiencies.max()))
+    m_true, e_true = (m_true if m_eff > 0.0 else 0.0), e_true + e_eff
+    live = [e for m, e in ((m_true, e_true), (m_dark, e_dark)) if m > 0.0]
+    if not live:
         raise ValueError("no outcome is ever recorded with these detector settings")
+    top = max(live)
+    total = math.ldexp(m_true, e_true - top) * (joint * np.ldexp(efficiencies, -e_eff))
+    # a dark click leaves the atom never excited: ground state through the same pulse sequence
+    dark_joint = np.outer(flip @ atom[:, 2], [0.5, 0.5])
+    total = total + math.ldexp(m_dark, e_dark - top) * dark_joint
+    weight = float(total.sum())
     return total.reshape(-1) / weight, acceptance
 
 

@@ -8,14 +8,24 @@ The file starts no subprocess or thread.
     PYTHONPATH=src python -m pytest tests/test_precision.py -q
 """
 
+import itertools
 import math
 
 import mpmath
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.bounds import extremal_bell_numeric
 from bellsim.network import _expected_max_attempts
+from bellsim.protocol import (
+    SINGLE_PULSE,
+    TWO_PULSE,
+    DetectorParams,
+    PulseSequence,
+    SourceParams,
+    recorded_outcome_distribution,
+)
 from bellsim.states import BellAngles, MeasurementSetting, chsh_operator
 
 # The ends of the fidelity range, where the multiplier of the window problem
@@ -126,3 +136,152 @@ class TestExpectedMaxAttempts:
         exact = _mp_expected_max_attempts(n, p)
         got = _expected_max_attempts(n, p)
         assert abs((got - exact) / exact) <= 1e-13
+
+
+def _mp_rotation(setting: MeasurementSetting, extra_phase=0):
+    """U(theta, phi + extra_phase) at 50 digits, from the same definition as ``rotation_matrix``."""
+    c, s = mpmath.cos(mpmath.mpf(setting.theta) / 2), mpmath.sin(mpmath.mpf(setting.theta) / 2)
+    e = mpmath.expj(mpmath.mpf(setting.phi) + extra_phase)
+    return mpmath.matrix([[c, -s / e], [s * e, c]])
+
+
+def _mp_recorded_distribution(source, pulse, photon, det):
+    """Recorded (atom label, PMT) distribution of one attempt at 50 digits, or None if nothing records.
+
+    Built from the model's definition, not from the program's closed form:
+    the emitted pair p |Phi+><Phi+| + (1 - p) I/4 is measured on the photon,
+    each conditional atom state is rotated as a matrix and read out, and in
+    single-pulse mode the bright probability c0 + c1 cos(wt) + c2 sin(wt)
+    (read off at wt = 0, pi/2, pi) is integrated over the window term by
+    term.  True heralds weigh p_true times the clicking tube's efficiency;
+    a dark click, (1 - p_true) times the dark rate, lands on either tube
+    and reads out the ground state.
+    """
+    with mpmath.workdps(50):
+        r = 1 / mpmath.sqrt(2)
+        ket = mpmath.matrix([r, 0, 0, r])
+        p = mpmath.mpf(source.werner_p)
+        pair = p * (ket * ket.H) + (1 - p) * mpmath.eye(4) / 4  # index 2 * atom + photon
+        u_photon = _mp_rotation(photon)
+        conditional = []
+        for o in range(2):
+            atom = mpmath.matrix(2, 2)
+            for s, t, q, v in itertools.product(range(2), repeat=4):
+                atom[s, t] += u_photon[o, q] * pair[2 * s + q, 2 * t + v] * mpmath.conj(u_photon[o, v])
+            conditional.append(atom)
+
+        def bright(atom, phase=0):
+            setting = pulse.effective_setting if pulse.mode == TWO_PULSE else pulse.nominal_setting
+            u = _mp_rotation(setting, phase)
+            return mpmath.re((u * atom * u.H)[0, 0])
+
+        def mean_bright(atom):
+            if pulse.mode == TWO_PULSE:
+                return bright(atom)
+            b0, b1, b2 = (bright(atom, x) for x in (0, mpmath.pi / 2, mpmath.pi))
+            c0, c1, c2 = (b0 + b2) / 2, (b0 - b2) / 2, b1 - (b0 + b2) / 2
+            wt = 2 * mpmath.pi * mpmath.mpf(pulse.microwave_frequency)
+            wt *= mpmath.mpf(source.excitation_window)
+            return c0 + c1 * mpmath.sin(wt) / wt + c2 * (1 - mpmath.cos(wt)) / wt
+
+        bright_error, dark_error = mpmath.mpf(det.atom_bright_error), mpmath.mpf(det.atom_dark_error)
+
+        def labels(p_bright):
+            return (
+                p_bright * (1 - bright_error) + (1 - p_bright) * dark_error,
+                p_bright * bright_error + (1 - p_bright) * (1 - dark_error),
+            )
+
+        p_true = mpmath.fprod(
+            mpmath.mpf(x)
+            for x in (
+                source.excitation_probability,
+                source.collection_efficiency,
+                source.detector_quantum_efficiency,
+            )
+        )
+        p_dark = (1 - p_true) * mpmath.mpf(det.dark_event_probability)
+        efficiencies = (mpmath.mpf(det.pmt_efficiency_1), mpmath.mpf(det.pmt_efficiency_2))
+        weights = [[mpmath.mpf(0)] * 2 for _ in range(2)]  # [atom label][PMT]
+        for o, atom in enumerate(conditional):
+            probability = mpmath.re(atom[0, 0] + atom[1, 1])
+            pmt = o ^ int(det.pmt_role_swapped)
+            for label, x in enumerate(labels(mean_bright(atom / probability))):
+                weights[label][pmt] += p_true * efficiencies[pmt] * probability * x
+        for label, x in enumerate(labels(mean_bright(mpmath.matrix([[1, 0], [0, 0]])))):
+            for pmt in range(2):
+                weights[label][pmt] += p_dark * x / 2
+        total = sum(weights[0]) + sum(weights[1])
+        if total == 0:
+            return None
+        return [weights[label][pmt] / total for label in range(2) for pmt in range(2)]
+
+
+# Efficiencies and dark rates from zero through the subnormals to 1.
+_RATES = (0.0, 5e-324, 1e-320, 1e-310, 1e-300, 1e-3, 0.5, 1.0)
+_ANGLES = st.floats(-3.0 * math.pi, 3.0 * math.pi)
+# Each recorded probability lies in [0, 1], and one ulp of 1 is 2**-52.
+_PROBABILITY_ULP = 2.0**-52
+
+
+class TestRecordedOutcomeDistribution:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        werner_p=st.floats(0.0, 1.0),
+        excitation=st.sampled_from((0.0, 0.1, 1.0)),
+        mode=st.sampled_from((TWO_PULSE, SINGLE_PULSE)),
+        theta_atom=_ANGLES,
+        rotation_phase=_ANGLES,
+        transfer_phase=_ANGLES,
+        theta_photon=_ANGLES,
+        phi_photon=_ANGLES,
+        window_exponent=st.floats(-13.0, -3.0),
+        frequency_exponent=st.floats(3.0, 12.0),
+        efficiency_1=st.sampled_from(_RATES),
+        efficiency_2=st.sampled_from(_RATES),
+        bright_error=st.floats(0.0, 0.3),
+        dark_error=st.floats(0.0, 0.3),
+        dark_rate=st.sampled_from(_RATES),
+        swapped=st.booleans(),
+    )
+    # No emission and a subnormal dark rate: the dark clicks alone record.
+    @example(werner_p=1.0, excitation=0.0, mode=TWO_PULSE, theta_atom=0.5, rotation_phase=0.0,
+             transfer_phase=0.0, theta_photon=0.3, phi_photon=0.0, window_exponent=-7.3,
+             frequency_exponent=10.16, efficiency_1=1.0, efficiency_2=1.0, bright_error=0.0,
+             dark_error=0.3, dark_rate=5e-324, swapped=True)
+    # Dark tubes and a subnormal dark rate: the dark clicks alone record, at full precision.
+    @example(werner_p=0.3, excitation=0.1, mode=SINGLE_PULSE, theta_atom=2.0, rotation_phase=1.0,
+             transfer_phase=0.0, theta_photon=1.1, phi_photon=0.4, window_exponent=-8.3,
+             frequency_exponent=10.16, efficiency_1=0.0, efficiency_2=0.0, bright_error=0.3,
+             dark_error=0.025, dark_rate=1e-320, swapped=False)
+    # Subnormal efficiencies against a subnormal dark rate, in comparable shares.
+    @example(werner_p=0.9, excitation=0.1, mode=TWO_PULSE, theta_atom=1.0, rotation_phase=0.2,
+             transfer_phase=0.1, theta_photon=0.7, phi_photon=0.0, window_exponent=-7.3,
+             frequency_exponent=10.16, efficiency_1=5e-324, efficiency_2=5e-324,
+             bright_error=0.025, dark_error=0.025, dark_rate=5e-324, swapped=True)
+    def test_within_8_ulps_of_extended_precision(
+        self, werner_p, excitation, mode, theta_atom, rotation_phase, transfer_phase,
+        theta_photon, phi_photon, window_exponent, frequency_exponent, efficiency_1,
+        efficiency_2, bright_error, dark_error, dark_rate, swapped,
+    ):
+        source = SourceParams(
+            excitation_probability=excitation, werner_p=werner_p,
+            excitation_window=10.0**window_exponent,
+        )
+        pulse = PulseSequence(
+            mode, theta_atom, rotation_phase, transfer_phase, 10.0**frequency_exponent
+        )
+        photon = MeasurementSetting(theta_photon, phi_photon)
+        det = DetectorParams(
+            pmt_efficiency_1=efficiency_1, pmt_efficiency_2=efficiency_2,
+            atom_bright_error=bright_error, atom_dark_error=dark_error,
+            waveplate_angle=math.pi / 4 if swapped else 0.0, dark_event_probability=dark_rate,
+        )
+        exact = _mp_recorded_distribution(source, pulse, photon, det)
+        if exact is None:
+            with pytest.raises(ValueError, match="no outcome is ever recorded"):
+                recorded_outcome_distribution(source, pulse, photon, det)
+            return
+        got, _ = recorded_outcome_distribution(source, pulse, photon, det)
+        for value, reference in zip(got, exact):
+            assert abs(value - reference) <= 8 * _PROBABILITY_ULP

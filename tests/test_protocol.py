@@ -763,7 +763,7 @@ class TestHeraldGate:
         )
         # each photon outcome, so the one routed to the lit PMT, has probability 1/2
         herald = Fraction(source.success_probability) * Fraction(efficiency) / 2
-        dark = Fraction((1.0 - source.success_probability) * dark_rate)
+        dark = Fraction(1.0 - source.success_probability) * Fraction(dark_rate)
         expected = (herald + dark / 2) / (herald + dark)
         assert abs(distribution.sum() - 1.0) <= 1e-12
         assert distribution.reshape(2, 2).sum(axis=0)[pmt] == pytest.approx(
