@@ -23,7 +23,7 @@ from .protocol import (
     DetectorParams,
     PulseSequence,
     SourceParams,
-    sample_outcome_counts,
+    recorded_outcome_distribution,
 )
 from .states import MeasurementSetting, bell_signal
 
@@ -80,8 +80,8 @@ class BellResult:
 def estimate_correlation(counts: np.ndarray) -> tuple[float, float]:
     """Correlation (n00 + n11 - n01 - n10)/N and its multinomial sigma.
 
-    ``counts`` holds n[atom][photon] ordered 00, 01, 10, 11, as
-    ``sample_outcome_counts`` returns them.
+    ``counts`` holds n[atom][photon] ordered 00, 01, 10, 11, as a
+    multinomial draw from ``recorded_outcome_distribution`` returns them.
     """
     n00, n01, n10, n11 = (int(c) for c in np.ravel(counts))
     if min(n00, n01, n10, n11) < 0:
@@ -173,11 +173,12 @@ def _measure_setting(
     n_normal = events // 2
     n_swapped = events - n_normal
     rng_normal, rng_swapped = (np.random.default_rng(s) for s in seed_sequence.spawn(2))
-    counts_normal = sample_outcome_counts(
-        n_normal, source, pulse, photon_setting, det, rng_normal
+    counts_normal = rng_normal.multinomial(
+        n_normal, recorded_outcome_distribution(source, pulse, photon_setting, det)
     )
-    counts_swapped = sample_outcome_counts(
-        n_swapped, source, pulse, photon_setting, det.with_swapped_pmts(), rng_swapped
+    counts_swapped = rng_swapped.multinomial(
+        n_swapped,
+        recorded_outcome_distribution(source, pulse, photon_setting, det.with_swapped_pmts()),
     )
     return combine_swapped_runs(counts_normal, counts_swapped)
 

@@ -19,11 +19,12 @@ are averaged.
 
 Both modes share one atom stage.  The readout needs only the bright
 probability of each conditional atom state rho, and with u the first row
-of the rotation at zero arrival time it is p_bright = A + Re(B e^{-ia}),
-A = |u0|^2 rho00 + |u1|^2 rho11, B = 2 u1 conj(u0) rho10, where the
-precession phase a is 2*pi*f*t in single-pulse mode and 0 in two-pulse
-mode.  The per-event samplers evaluate it at each arrival time; the
-closed form averages e^{-ia} over the excitation window.
+of the rotation at zero arrival time it is p_bright = A + Re(B w),
+A = |u0|^2 rho00 + |u1|^2 rho11, B = 2 u1 conj(u0) rho10.  The pulse mode
+chooses only w = e^{-ia}: the precession phase a is 2*pi*f*t in
+single-pulse mode and 0 in two-pulse mode, so w = 1 there.  The per-event
+samplers evaluate w at each arrival time; the closed form takes its mean
+over the excitation window.
 
 All sampling goes through an explicitly passed ``numpy.random.Generator``
 so identical seeds reproduce identical event streams.
@@ -175,9 +176,6 @@ class DetectorParams:
         angle = math.pi / 4 if not self.pmt_role_swapped else 0.0
         return replace(self, waveplate_angle=angle)
 
-    def pmt_efficiency(self, pmt_index: int) -> float:
-        return self.pmt_efficiency_1 if pmt_index == 0 else self.pmt_efficiency_2
-
 
 class EventRecord(NamedTuple):
     """One successful, recorded entanglement trial (immutable; copy with ``_replace``)."""
@@ -194,14 +192,13 @@ class EventRecord(NamedTuple):
 def _herald_parts(
     source: SourceParams, det: DetectorParams
 ) -> tuple[tuple[float, int], tuple[float, int]]:
-    """Per-attempt true-herald and dark-click probabilities, as ``math.frexp`` pairs.
+    """Per-attempt p_true and p_dark = (1 - p_true) * dark rate, as ``math.frexp`` pairs.
 
-    A dark click needs an attempt that emitted nothing, so its probability
-    is (1 - p_true) * dark rate; the mantissas are multiplied apart from the
-    exponents, so a subnormal dark rate keeps every bit.
+    The mantissas multiply apart from the exponents, so a subnormal dark
+    rate keeps every bit.
     """
     p_true = source.success_probability
-    (m_rest, e_rest), (m_rate, e_rate) = map(math.frexp, (1.0 - p_true, det.dark_event_probability))
+    (m_rest, e_rest), (m_rate, e_rate) = map(math.frexp, (1 - p_true, det.dark_event_probability))
     return math.frexp(p_true), (m_rest * m_rate, e_rest + e_rate)
 
 
@@ -209,6 +206,28 @@ def _herald_probability(source: SourceParams, det: DetectorParams) -> tuple[floa
     """Per-attempt herald probability and the share of heralds that are dark clicks."""
     p_true, p_dark = (math.ldexp(*part) for part in _herald_parts(source, det))
     return p_true + p_dark, (p_dark / (p_true + p_dark) if p_dark > 0.0 else 0.0)
+
+
+def _recorded_weights(
+    source: SourceParams, det: DetectorParams
+) -> tuple[float, np.ndarray, float]:
+    """p_true, the efficiencies by PMT and p_dark, all times one power of two.
+
+    The power of two is exact, so it keeps every bit of a normalised
+    result, and brings the larger nonzero weight of a recorded herald near
+    1: a subnormal efficiency or dark rate then records instead of
+    underflowing.  Raises ``ValueError`` when no outcome is ever recorded.
+    """
+    efficiencies = np.array([det.pmt_efficiency_1, det.pmt_efficiency_2])
+    (m_true, e_true), (m_dark, e_dark) = _herald_parts(source, det)
+    m_eff, e_eff = math.frexp(float(efficiencies.max()))
+    m_true, e_true = (m_true if m_eff > 0.0 else 0.0), e_true + e_eff
+    live = [e for m, e in ((m_true, e_true), (m_dark, e_dark)) if m > 0.0]
+    if not live:
+        raise ValueError("no outcome is ever recorded with these detector settings")
+    top = max(live)
+    scaled = np.ldexp(efficiencies, -e_eff)
+    return math.ldexp(m_true, e_true - top), scaled, math.ldexp(m_dark, e_dark - top)
 
 
 def _herald(n_attempts: int, p_herald: float, rng: np.random.Generator) -> np.ndarray:
@@ -246,7 +265,7 @@ def _photon_stage(
 def _readout_coefficients(
     atoms: np.ndarray, pulse: PulseSequence
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of p_bright = A + Re(B e^{-ia}) for a stack of atom density matrices."""
+    """(A, B) of p_bright = A + Re(B w) for a stack of atom density matrices."""
     u0, u1 = rotation_matrix(pulse.effective_setting)[0]
     a = abs(u0) ** 2 * atoms[:, 0, 0].real + abs(u1) ** 2 * atoms[:, 1, 1].real
     return a, 2.0 * u1 * u0.conjugate() * atoms[:, 1, 0]
@@ -302,12 +321,9 @@ def _heralded_chain(
     which = np.where(dark, 2, outcome)[accepted][:limit]
     index, pmt = index[accepted][:limit], pmt[accepted][:limit]
     arrival = rng.uniform(0.0, source.excitation_window, index.size)
-    if pulse.mode == TWO_PULSE:
-        p_bright = (a + b.real)[which]
-    else:
-        precession = np.exp(-2j * math.pi * pulse.microwave_frequency * arrival)
-        p_bright = a[which] + (b[which] * precession).real
-    atom_outcome = _read_out(p_bright, det, rng)
+    precession = -2j * math.pi * pulse.microwave_frequency
+    w = 1.0 if pulse.mode == TWO_PULSE else np.exp(precession * arrival)
+    atom_outcome = _read_out(a[which] + (b[which] * w).real, det, rng)
     columns = (
         index.tolist(),
         arrival.tolist(),
@@ -317,9 +333,6 @@ def _heralded_chain(
         atom_outcome.tolist(),
         repeat(det.pmt_role_swapped),
     )
-    # EventRecord._make checks each record's width; the zip fixes it once per batch.
-    if len(columns) != len(EventRecord._fields):
-        raise TypeError(f"expected {len(EventRecord._fields)} columns, got {len(columns)}")
     return list(map(tuple.__new__, repeat(EventRecord), zip(*columns)))
 
 
@@ -349,24 +362,21 @@ def recorded_outcome_distribution(
     pulse: PulseSequence,
     photon_setting: MeasurementSetting,
     det: DetectorParams,
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """Distribution of recorded (atom, PMT) outcomes for a fixed setting.
 
-    In single-pulse mode the precession factor e^{-ia} is averaged over a
-    uniform arrival time in the excitation window: its mean is conj(chi),
-    chi = sinc(fT) e^{i pi fT}, which stays exact as fT -> 0.  Dark
-    events, when configured, enter with their per-attempt weight against
-    truly heralded events.  Returns (probabilities ordered (atom, pmt) =
-    00, 01, 10, 11, acceptance) where acceptance is the probability that a
-    heralded photon click survives PMT efficiency.
+    In single-pulse mode the precession factor w = e^{-ia} is averaged over
+    a uniform arrival time in the excitation window: its mean is conj(chi),
+    chi = sinc(fT) e^{i pi fT}, which stays exact as fT -> 0.  Dark events,
+    when configured, enter with their per-attempt weight against truly
+    heralded events.  Returns the probabilities ordered (atom, pmt) = 00,
+    01, 10, 11, so ``rng.multinomial(n, ...)`` draws the tally of n recorded
+    events; raises ``ValueError`` when no outcome is ever recorded.
     """
     probs, a, b = _atom_stage(source, pulse, photon_setting)
-    if pulse.mode == TWO_PULSE:
-        p_bright = a + b.real
-    else:
-        ft = pulse.microwave_frequency * source.excitation_window
-        p_bright = a + (b * np.sinc(ft) * np.exp(-1j * math.pi * ft)).real
-    p_bright = np.clip(p_bright, 0.0, 1.0)
+    ft = pulse.microwave_frequency * source.excitation_window
+    w = 1.0 if pulse.mode == TWO_PULSE else np.sinc(ft) * np.exp(-1j * math.pi * ft)
+    p_bright = np.clip(a + (b * w).real, 0.0, 1.0)
     atom = np.array([p_bright, 1.0 - p_bright])  # [atom, (outcome 0, outcome 1, ground)]
     flip = np.array(
         [
@@ -380,43 +390,10 @@ def recorded_outcome_distribution(
     # [recorded atom label, PMT]: a C-ordered copy, because numpy sums in
     # memory order and the pinned reports fix how the weight below rounds
     joint = np.ascontiguousarray(joint[:, [swapped, 1 - swapped]])
-    efficiencies = np.array([det.pmt_efficiency_1, det.pmt_efficiency_2])
-    acceptance = float((joint * efficiencies).sum())
-
-    # Each part is scaled by a power of two, which is exact and so keeps every
-    # bit of the normalised result, to bring the larger nonzero weight near 1:
-    # a subnormal efficiency or dark rate then records instead of underflowing.
-    (m_true, e_true), (m_dark, e_dark) = _herald_parts(source, det)
-    m_eff, e_eff = math.frexp(float(efficiencies.max()))
-    m_true, e_true = (m_true if m_eff > 0.0 else 0.0), e_true + e_eff
-    live = [e for m, e in ((m_true, e_true), (m_dark, e_dark)) if m > 0.0]
-    if not live:
-        raise ValueError("no outcome is ever recorded with these detector settings")
-    top = max(live)
-    total = math.ldexp(m_true, e_true - top) * (joint * np.ldexp(efficiencies, -e_eff))
+    p_true, efficiencies, p_dark = _recorded_weights(source, det)
     # a dark click leaves the atom never excited: ground state through the same pulse sequence
-    dark_joint = np.outer(flip @ atom[:, 2], [0.5, 0.5])
-    total = total + math.ldexp(m_dark, e_dark - top) * dark_joint
-    weight = float(total.sum())
-    return total.reshape(-1) / weight, acceptance
-
-
-def sample_outcome_counts(
-    n_events: int,
-    source: SourceParams,
-    pulse: PulseSequence,
-    photon_setting: MeasurementSetting,
-    det: DetectorParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Counts of recorded (atom, PMT) outcomes over n_events recorded events.
-
-    Exact conditional sampling given the number of recorded events;
-    statistically identical to tallying the events of ``simulate_attempts``,
-    but O(1) instead of O(heralds).
-    """
-    probabilities, _ = recorded_outcome_distribution(source, pulse, photon_setting, det)
-    return rng.multinomial(n_events, probabilities)
+    total = p_true * (joint * efficiencies) + p_dark * np.outer(flip @ atom[:, 2], [0.5, 0.5])
+    return total.reshape(-1) / float(total.sum())
 
 
 def iter_heralded_events(
@@ -433,18 +410,26 @@ def iter_heralded_events(
     this runs the same chain as ``simulate_attempts`` minus the herald draw.
     Rejected photon detections still cost a retry, as in the hardware,
     and configured dark events enter with their per-attempt weight.
-    Attempts are drawn in batches sized from the exact acceptance.  A
-    source that never heralds, or heralds nothing that is recorded,
-    raises ``ValueError``, as ``recorded_outcome_distribution`` does.
+    Attempts are drawn in batches sized from the exact acceptance.
+
+    Both errors are raised before any draw, as ``ValueError``: "no outcome
+    is ever recorded" exactly when ``recorded_outcome_distribution`` raises
+    it, and one that names the acceptance when n_events / acceptance
+    exceeds 2**63 - 1, the range of an attempt index.
     """
-    p_herald, dark_share = _herald_probability(source, det)
+    _recorded_weights(source, det)  # raises as the closed form does
+    dark_share = _herald_probability(source, det)[1]
     stage = _atom_stage(source, pulse, photon_setting)
     probs = stage[0]
     swapped = int(det.pmt_role_swapped)
-    photon_acceptance = sum(probs[o] * det.pmt_efficiency(o ^ swapped) for o in range(2))
-    acceptance = dark_share + (1.0 - dark_share) * photon_acceptance
-    if p_herald == 0.0 or acceptance <= 0.0:
-        raise ValueError("no outcome is ever recorded with these detector settings")
+    efficiencies = (det.pmt_efficiency_1, det.pmt_efficiency_2)
+    photon_acceptance = sum(probs[o] * efficiencies[o ^ swapped] for o in range(2))
+    acceptance = float(dark_share + (1.0 - dark_share) * photon_acceptance)
+    if n_events > acceptance * (2**63 - 1):
+        raise ValueError(
+            f"recording {n_events} events at acceptance {acceptance!r} takes more than"
+            " 2**63 - 1 heralded attempts"
+        )
     need = n_events
     offset = 0
     while need > 0:

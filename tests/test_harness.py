@@ -186,16 +186,18 @@ class TestRunExperiment:
         # with symmetric PMTs, equal-weight combination and raw pooling agree
         # within sampling noise
         rng = np.random.default_rng(55)
-        from bellsim.protocol import TWO_PULSE, PulseSequence, sample_outcome_counts
+        from bellsim.protocol import TWO_PULSE, PulseSequence, recorded_outcome_distribution
         from bellsim.states import MeasurementSetting
 
         source = SourceParams(werner_p=WERNER_P)
         det = DetectorParams()
         pulse = PulseSequence(TWO_PULSE, math.pi / 2)
         setting_p = MeasurementSetting(math.pi / 4)
-        counts_normal = sample_outcome_counts(30_001, source, pulse, setting_p, det, rng)
-        counts_swapped = sample_outcome_counts(
-            29_000, source, pulse, setting_p, det.with_swapped_pmts(), rng
+        counts_normal = rng.multinomial(
+            30_001, recorded_outcome_distribution(source, pulse, setting_p, det)
+        )
+        counts_swapped = rng.multinomial(
+            29_000, recorded_outcome_distribution(source, pulse, setting_p, det.with_swapped_pmts())
         )
         q_combined, sigma = combine_swapped_runs(counts_normal, counts_swapped)
         q_pooled, _ = estimate_correlation(counts_normal + _relabel(counts_swapped))

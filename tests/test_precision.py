@@ -282,6 +282,6 @@ class TestRecordedOutcomeDistribution:
             with pytest.raises(ValueError, match="no outcome is ever recorded"):
                 recorded_outcome_distribution(source, pulse, photon, det)
             return
-        got, _ = recorded_outcome_distribution(source, pulse, photon, det)
+        got = recorded_outcome_distribution(source, pulse, photon, det)
         for value, reference in zip(got, exact):
             assert abs(value - reference) <= 8 * _PROBABILITY_ULP

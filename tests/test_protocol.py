@@ -22,7 +22,6 @@ from bellsim.protocol import (
     SourceParams,
     iter_heralded_events,
     recorded_outcome_distribution,
-    sample_outcome_counts,
     simulate_attempts,
     _atom_stage,
     _photon_stage,
@@ -273,7 +272,7 @@ class TestSamplingConsistency:
         setting_p = MeasurementSetting(math.pi / 4)
         det = DetectorParams()
         n = 100_000
-        counts = sample_outcome_counts(n, source, pulse, setting_p, det, rng)
+        counts = rng.multinomial(n, recorded_outcome_distribution(source, pulse, setting_p, det))
         exact = outcome_probabilities(werner(1.0), MeasurementSetting(math.pi / 2), setting_p)
         for observed, f in zip(counts, exact):
             band = 5.0 * math.sqrt(f * (1.0 - f) / n)
@@ -311,7 +310,7 @@ class TestSamplingConsistency:
         # M_a (x) M_b.  With ideal detectors the two routes give one number.
         pulse = PulseSequence(TWO_PULSE, theta_atom, rotation_phase)
         photon = MeasurementSetting(theta_photon, phi_photon)
-        (f00, f01, f10, f11), _ = recorded_outcome_distribution(
+        f00, f01, f10, f11 = recorded_outcome_distribution(
             SourceParams(werner_p=werner_p), pulse, photon, DetectorParams()
         )
         expected = correlation(werner(werner_p), pulse.effective_setting, photon)
@@ -331,11 +330,13 @@ class TestSamplingConsistency:
         )
         n = 40_000
         rng = np.random.default_rng(41)
-        counts_fast = sample_outcome_counts(n, source, pulse, setting_p, det, rng)
+        counts_fast = rng.multinomial(
+            n, recorded_outcome_distribution(source, pulse, setting_p, det)
+        )
         counts_chain = _tally_events(
             iter_heralded_events(n, source, pulse, setting_p, det, np.random.default_rng(43))
         )
-        expected, _ = recorded_outcome_distribution(source, pulse, setting_p, det)
+        expected = recorded_outcome_distribution(source, pulse, setting_p, det)
         for counts in (counts_fast, counts_chain):
             for observed, f in zip(counts, expected):
                 band = 5.0 * math.sqrt(f * (1.0 - f) / n)
@@ -375,22 +376,28 @@ class TestSamplingConsistency:
         counts = _tally_events(
             iter_heralded_events(n, source, pulse, setting_p, det, np.random.default_rng(97))
         )
-        expected, acceptance = recorded_outcome_distribution(source, pulse, setting_p, det)
+        expected = recorded_outcome_distribution(source, pulse, setting_p, det)
         assert np.all(expected >= 0.0)
         assert abs(expected.sum() - 1.0) <= 1e-12
-        assert 0.0 <= acceptance <= 1.0
         for observed, f in zip(counts, expected):
             band = 5.0 * math.sqrt(f * (1.0 - f) / n)
             assert abs(observed / n - f) <= band
 
     def test_acceptance_factor_reflects_pmt_loss(self):
+        # Each heralded attempt records with probability 0.4, so recording n
+        # events takes a negative-binomial count of heralded attempts: mean
+        # n / 0.4, variance n * 0.6 / 0.4**2.
         source = SourceParams()
         pulse = PulseSequence(TWO_PULSE, 0.0)
         det = DetectorParams(pmt_efficiency_1=0.4, pmt_efficiency_2=0.4)
-        _, acceptance = recorded_outcome_distribution(
-            source, pulse, MeasurementSetting(0.0), det
+        n = 2000
+        events = list(
+            iter_heralded_events(
+                n, source, pulse, MeasurementSetting(0.0), det, np.random.default_rng(89)
+            )
         )
-        assert acceptance == pytest.approx(0.4, abs=1e-12)
+        attempts = events[-1].attempt_index + 1
+        assert abs(attempts - n / 0.4) <= 5.0 * math.sqrt(n * 0.6) / 0.4
 
 
 class TestDarkEvents:
@@ -404,7 +411,7 @@ class TestDarkEvents:
         setting_p = MeasurementSetting(math.pi / 4)
         p_true = source.success_probability
         det = DetectorParams(dark_event_probability=p_true / (1.0 - p_true))
-        probabilities, _ = recorded_outcome_distribution(source, pulse, setting_p, det)
+        probabilities = recorded_outcome_distribution(source, pulse, setting_p, det)
         q = probabilities[0] + probabilities[3] - probabilities[1] - probabilities[2]
         clean = math.cos(math.pi / 2 - math.pi / 4)
         assert q == pytest.approx(clean / 2.0, abs=1e-12)
@@ -435,7 +442,7 @@ class TestDarkEvents:
         counts = _tally_events(
             iter_heralded_events(n, source, pulse, setting_p, det, np.random.default_rng(67))
         )
-        expected, _ = recorded_outcome_distribution(source, pulse, setting_p, det)
+        expected = recorded_outcome_distribution(source, pulse, setting_p, det)
         for observed, f in zip(counts, expected):
             band = 5.0 * math.sqrt(f * (1.0 - f) / n)
             assert abs(observed / n - f) <= band
@@ -460,7 +467,7 @@ class TestDarkEvents:
         )
         n = counts.sum()
         assert n > 5000
-        expected, _ = recorded_outcome_distribution(source, pulse, setting_p, det)
+        expected = recorded_outcome_distribution(source, pulse, setting_p, det)
         for observed, f in zip(counts, expected):
             band = 5.0 * math.sqrt(f * (1.0 - f) / n)
             assert abs(observed / n - f) <= band
@@ -542,7 +549,7 @@ class TestSinglePulseChain:
     def test_closed_form_matches_arrival_averaged_oracle(self, werner_p, window, rotation_phase):
         source = SourceParams(werner_p=werner_p, excitation_window=window)
         pulse = PulseSequence(SINGLE_PULSE, math.pi / 2, rotation_phase=rotation_phase)
-        expected, _ = recorded_outcome_distribution(
+        expected = recorded_outcome_distribution(
             source, pulse, MeasurementSetting(self.theta_photon), self.det
         )
         oracle = _single_pulse_oracle(werner_p, pulse, self.theta_photon, self.det, window)
@@ -742,6 +749,30 @@ class TestHeraldGate:
         else:
             assert len(list(events)) == 5
 
+    @pytest.mark.parametrize("efficiency", [5e-324, 1e-320])
+    def test_event_sampler_raises_past_the_attempt_index_range(self, monkeypatch, efficiency):
+        # The closed form records here, but n / acceptance is past 2**63 - 1
+        # (at 5e-324 the acceptance even rounds to 0): the sampler raises
+        # before any draw.  The stub chain makes a regression fail, not hang.
+        calls = []
+
+        def chain(*args):
+            calls.append(args)
+            if len(calls) > 3:
+                raise RuntimeError("the sampler kept drawing")
+            return []
+
+        monkeypatch.setattr("bellsim.protocol._heralded_chain", chain)
+        source = SourceParams()
+        det = DetectorParams(pmt_efficiency_1=efficiency, pmt_efficiency_2=efficiency)
+        recorded_outcome_distribution(source, self.pulse, self.setting_p, det)
+        events = iter_heralded_events(
+            5, source, self.pulse, self.setting_p, det, np.random.default_rng(139)
+        )
+        with pytest.raises(ValueError, match=r"acceptance .* 2\*\*63 - 1"):
+            list(events)
+        assert calls == []
+
     @settings(deadline=None, derandomize=True)
     @given(
         efficiency=st.sampled_from((5e-324, 1e-320, 1e-310, 1e-300, 0.5)),
@@ -758,7 +789,7 @@ class TestHeraldGate:
         det = DetectorParams(dark_event_probability=dark_rate, **efficiencies)
         if waveplate:
             det = det.with_swapped_pmts()
-        distribution, _ = recorded_outcome_distribution(
+        distribution = recorded_outcome_distribution(
             source, self.pulse, self.setting_p, det
         )
         # each photon outcome, so the one routed to the lit PMT, has probability 1/2
