@@ -198,19 +198,21 @@ def _herald_parts(
     rate keeps every bit.
     """
     p_true = source.success_probability
-    (m_rest, e_rest), (m_rate, e_rate) = map(math.frexp, (1 - p_true, det.dark_event_probability))
+    m_rest, e_rest = math.frexp(1.0 - p_true)
+    m_rate, e_rate = math.frexp(det.dark_event_probability)
     return math.frexp(p_true), (m_rest * m_rate, e_rest + e_rate)
 
 
 def _herald_probability(source: SourceParams, det: DetectorParams) -> tuple[float, float]:
     """Per-attempt herald probability and the share of heralds that are dark clicks."""
-    p_true, p_dark = (math.ldexp(*part) for part in _herald_parts(source, det))
+    (m_true, e_true), (m_dark, e_dark) = _herald_parts(source, det)
+    p_true, p_dark = math.ldexp(m_true, e_true), math.ldexp(m_dark, e_dark)
     return p_true + p_dark, (p_dark / (p_true + p_dark) if p_dark > 0.0 else 0.0)
 
 
 def _recorded_weights(
     source: SourceParams, det: DetectorParams
-) -> tuple[float, np.ndarray, float]:
+) -> tuple[float, tuple[float, float], float]:
     """p_true, the efficiencies by PMT and p_dark, all times one power of two.
 
     The power of two is exact, so it keeps every bit of a normalised
@@ -218,15 +220,15 @@ def _recorded_weights(
     1: a subnormal efficiency or dark rate then records instead of
     underflowing.  Raises ``ValueError`` when no outcome is ever recorded.
     """
-    efficiencies = np.array([det.pmt_efficiency_1, det.pmt_efficiency_2])
+    efficiencies = (det.pmt_efficiency_1, det.pmt_efficiency_2)
     (m_true, e_true), (m_dark, e_dark) = _herald_parts(source, det)
-    m_eff, e_eff = math.frexp(float(efficiencies.max()))
+    m_eff, e_eff = math.frexp(max(efficiencies))
     m_true, e_true = (m_true if m_eff > 0.0 else 0.0), e_true + e_eff
     live = [e for m, e in ((m_true, e_true), (m_dark, e_dark)) if m > 0.0]
     if not live:
         raise ValueError("no outcome is ever recorded with these detector settings")
     top = max(live)
-    scaled = np.ldexp(efficiencies, -e_eff)
+    scaled = tuple(math.ldexp(x, -e_eff) for x in efficiencies)
     return math.ldexp(m_true, e_true - top), scaled, math.ldexp(m_dark, e_dark - top)
 
 
