@@ -170,17 +170,15 @@ def _measure_setting(
     """Both PMT-role sub-runs for one setting, combined."""
     pulse = PulseSequence(mode=TWO_PULSE, rotation_theta=theta_ion)
     photon_setting = MeasurementSetting(theta_photon)
-    n_normal = events // 2
-    n_swapped = events - n_normal
-    rng_normal, rng_swapped = (np.random.default_rng(s) for s in seed_sequence.spawn(2))
-    counts_normal = rng_normal.multinomial(
-        n_normal, recorded_outcome_distribution(source, pulse, photon_setting, det)
-    )
-    counts_swapped = rng_swapped.multinomial(
-        n_swapped,
-        recorded_outcome_distribution(source, pulse, photon_setting, det.with_swapped_pmts()),
-    )
-    return combine_swapped_runs(counts_normal, counts_swapped)
+    sizes = (events // 2, events - events // 2)
+    detectors = (det, det.with_swapped_pmts())
+    counts = [
+        np.random.default_rng(seed).multinomial(
+            n, recorded_outcome_distribution(source, pulse, photon_setting, sub_det)
+        )
+        for n, sub_det, seed in zip(sizes, detectors, seed_sequence.spawn(2))
+    ]
+    return combine_swapped_runs(*counts)
 
 
 def run_experiment(

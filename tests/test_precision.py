@@ -225,7 +225,7 @@ _PROBABILITY_ULP = 2.0**-52
 
 
 class TestRecordedOutcomeDistribution:
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
         werner_p=st.floats(0.0, 1.0),
         excitation=st.sampled_from((0.0, 0.1, 1.0)),
