@@ -7,7 +7,9 @@ a polarizing beam splitter routing to one of two photomultiplier tubes,
 then a microwave pulse sequence on the atomic qubit and a fluorescence
 readout (bright/dark).  PMT inefficiency is modeled as silent event
 rejection, matching the heralded, post-selected character of the scheme;
-atomic readout errors are modeled as label flips.
+atomic readout errors are modeled as label flips.  The per-event samplers
+draw the recorded events directly, with geometric gaps in heralded
+attempts, so their cost does not grow as the acceptance falls.
 
 Two microwave modes are supported.  ``two_pulse`` first transfers the
 upper qubit state to an auxiliary level with a pi pulse and then rotates,
@@ -46,8 +48,6 @@ TWO_PULSE = "two_pulse"
 
 BRIGHT = 0  # atom found in the fluorescing manifold, qubit |0>
 DARK = 1  # atom shelved in the transferred state, qubit |1~>
-
-_ATTEMPT_CHUNK = 1_000_000  # heralded attempts per iter_heralded_events batch, bounding its memory
 
 
 @dataclass(frozen=True)
@@ -203,13 +203,6 @@ def _herald_parts(
     return math.frexp(p_true), (m_rest * m_rate, e_rest + e_rate)
 
 
-def _herald_probability(source: SourceParams, det: DetectorParams) -> tuple[float, float]:
-    """Per-attempt herald probability and the share of heralds that are dark clicks."""
-    (m_true, e_true), (m_dark, e_dark) = _herald_parts(source, det)
-    p_true, p_dark = math.ldexp(m_true, e_true), math.ldexp(m_dark, e_dark)
-    return p_true + p_dark, (p_dark / (p_true + p_dark) if p_dark > 0.0 else 0.0)
-
-
 def _recorded_weights(
     source: SourceParams, det: DetectorParams
 ) -> tuple[float, tuple[float, float], float]:
@@ -281,19 +274,23 @@ def _atom_stage(
     return (probs, *_readout_coefficients(atoms, pulse))
 
 
-def _detect_photons(
-    p_zero: float, dark: np.ndarray, det: DetectorParams, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """PBS/PMT stage of a batch: photon outcome, clicking tube and acceptance.
+def _branch_weights(
+    source: SourceParams, det: DetectorParams, probs: np.ndarray
+) -> tuple[float, float, tuple[float, float, float]]:
+    """Per-attempt herald probability, acceptance and per-herald weights of the recorded branches.
 
-    A photon gives outcome 0 with probability ``p_zero``; a dark click
-    lands on either tube with equal probability and is always recorded.
+    The branches are photon outcome 0 and 1, each through its PMT's
+    efficiency, and a dark click; ``probs`` is the photon marginal.  The
+    weights sum to the acceptance, capped at 1 as the marginal can round above.
     """
-    outcome = (rng.random(dark.size) >= np.where(dark, 0.5, p_zero)).astype(np.int64)
-    pmt = outcome ^ int(det.pmt_role_swapped)
-    efficiency = np.array([det.pmt_efficiency_1, det.pmt_efficiency_2])[pmt]
-    accepted = rng.random(dark.size) < np.where(dark, 1.0, efficiency)
-    return outcome, pmt, accepted
+    (m_true, e_true), (m_dark, e_dark) = _herald_parts(source, det)
+    p_true, p_dark = math.ldexp(m_true, e_true), math.ldexp(m_dark, e_dark)
+    dark_share = p_dark / (p_true + p_dark) if p_dark > 0.0 else 0.0
+    efficiencies = (det.pmt_efficiency_1, det.pmt_efficiency_2)
+    swapped = int(det.pmt_role_swapped)
+    photon = [(1.0 - dark_share) * float(probs[o]) * efficiencies[o ^ swapped] for o in (0, 1)]
+    weights = (*photon, dark_share)
+    return p_true + p_dark, min(sum(weights), 1.0), weights
 
 
 def _read_out(p_bright: np.ndarray, det: DetectorParams, rng: np.random.Generator) -> np.ndarray:
@@ -303,25 +300,28 @@ def _read_out(p_bright: np.ndarray, det: DetectorParams, rng: np.random.Generato
     return outcome ^ (rng.random(p_bright.size) < flip_probability)
 
 
-def _heralded_chain(
+def _recorded_chain(
     index: np.ndarray,
+    weights: tuple[float, float, float],
     stage: tuple[np.ndarray, np.ndarray, np.ndarray],
     source: SourceParams,
     pulse: PulseSequence,
     photon_setting: MeasurementSetting,
     det: DetectorParams,
     rng: np.random.Generator,
-    limit: int | None = None,
 ) -> list[EventRecord]:
-    """Recorded events of a batch of heralded attempts, at most ``limit`` of them.
+    """One recorded event per attempt index, from the sampler call's ``_atom_stage``.
 
-    ``stage`` is the sampler call's ``_atom_stage``.
+    Each event draws its branch from ``_branch_weights`` (a dark click is
+    split evenly over the two tubes), then its arrival time and readout.
     """
-    probs, a, b = stage
-    dark = rng.random(index.size) < _herald_probability(source, det)[1]
-    outcome, pmt, accepted = _detect_photons(probs[0], dark, det, rng)
-    which = np.where(dark, 2, outcome)[accepted][:limit]
-    index, pmt = index[accepted][:limit], pmt[accepted][:limit]
+    _, a, b = stage
+    photon_0, photon_1, dark = weights
+    cdf = np.cumsum([photon_0, photon_1, dark / 2, dark / 2])
+    # branch 0 or 1: that photon outcome; 2 or 3: a dark click on the tube of outcome 0 or 1
+    branch = np.searchsorted(cdf / cdf[-1], rng.random(index.size), side="right")
+    which = np.minimum(branch, 2)  # atom stage row: given outcome 0, given outcome 1, ground
+    pmt = (branch & 1) ^ int(det.pmt_role_swapped)
     arrival = rng.uniform(0.0, source.excitation_window, index.size)
     precession = -2j * math.pi * pulse.microwave_frequency
     w = 1.0 if pulse.mode == TWO_PULSE else np.exp(precession * arrival)
@@ -348,15 +348,16 @@ def simulate_attempts(
 ) -> list[EventRecord]:
     """Run a block of attempts, returning only the recorded events.
 
-    The heralded attempts, dark clicks included, are drawn exactly in
-    O(heralds), not O(n_attempts), then run through the batched event chain.
+    Each attempt records independently with the herald probability (dark
+    clicks included) times the acceptance, so the recorded attempts are
+    drawn exactly in O(events), not O(n_attempts), then run through the chain.
     """
-    index = _herald(max(n_attempts, 0), _herald_probability(source, det)[0], rng)
+    stage = _atom_stage(source, pulse, photon_setting)
+    p_herald, acceptance, weights = _branch_weights(source, det, stage[0])
+    index = _herald(max(n_attempts, 0), p_herald * acceptance, rng)
     if index.size == 0:
         return []
-    return _heralded_chain(
-        index, _atom_stage(source, pulse, photon_setting), source, pulse, photon_setting, det, rng
-    )
+    return _recorded_chain(index, weights, stage, source, pulse, photon_setting, det, rng)
 
 
 def recorded_outcome_distribution(
@@ -410,35 +411,33 @@ def iter_heralded_events(
 
     Conditioning on success leaves the per-event physics unchanged, so
     this runs the same chain as ``simulate_attempts`` minus the herald draw.
-    Rejected photon detections still cost a retry, as in the hardware,
-    and configured dark events enter with their per-attempt weight.
-    Attempts are drawn in batches sized from the exact acceptance.
+    Each heralded attempt records with the acceptance, so the heralded
+    attempts between recorded events are geometric gaps: rejected photon
+    detections still cost attempts, as in the hardware, and configured dark
+    events enter with their per-attempt weight.
 
-    Both errors are raised before any draw, as ``ValueError``: "no outcome
-    is ever recorded" exactly when ``recorded_outcome_distribution`` raises
-    it, and one that names the acceptance when n_events / acceptance
-    exceeds 2**63 - 1, the range of an attempt index.
+    Both errors are ``ValueError``, raised before any event is yielded: "no
+    outcome is ever recorded" exactly when ``recorded_outcome_distribution``
+    raises it, and one that names the acceptance when the events take more
+    than 2**63 - 1 heralded attempts, the range of an attempt index (before
+    any draw when n_events / acceptance alone exceeds it).
     """
     _recorded_weights(source, det)  # raises as the closed form does
-    dark_share = _herald_probability(source, det)[1]
+    if n_events <= 0:
+        return
     stage = _atom_stage(source, pulse, photon_setting)
-    probs = stage[0]
-    swapped = int(det.pmt_role_swapped)
-    efficiencies = (det.pmt_efficiency_1, det.pmt_efficiency_2)
-    photon_acceptance = sum(probs[o] * efficiencies[o ^ swapped] for o in range(2))
-    acceptance = float(dark_share + (1.0 - dark_share) * photon_acceptance)
+    acceptance, weights = _branch_weights(source, det, stage[0])[1:]
+    past_range = ValueError(
+        f"recording {n_events} events at acceptance {acceptance!r} takes more than"
+        " 2**63 - 1 heralded attempts"
+    )
     if n_events > acceptance * (2**63 - 1):
-        raise ValueError(
-            f"recording {n_events} events at acceptance {acceptance!r} takes more than"
-            " 2**63 - 1 heralded attempts"
-        )
-    need = n_events
-    offset = 0
-    while need > 0:
-        batch = math.ceil(min(_ATTEMPT_CHUNK, need / acceptance))
-        events = _heralded_chain(
-            offset + np.arange(batch), stage, source, pulse, photon_setting, det, rng, need
-        )
-        need -= len(events)
-        offset += batch
-        yield from events
+        raise past_range
+    # numpy clips a gap at 2**63 - 1, and an int64 cumsum past that wraps
+    # silently; in uint64 the first sum past it cannot wrap, so max() sees it
+    attempts = np.cumsum(rng.geometric(acceptance, n_events), dtype=np.uint64)
+    if attempts.max() >= 2**63 - 1:
+        raise past_range
+    yield from _recorded_chain(
+        attempts - 1, weights, stage, source, pulse, photon_setting, det, rng
+    )

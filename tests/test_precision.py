@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.bounds import extremal_bell_numeric
+from bellsim.loopholes import detection_efficiency, photon_survival
 from bellsim.network import _expected_max_attempts
 from bellsim.protocol import (
     SINGLE_PULSE,
@@ -27,6 +28,10 @@ from bellsim.protocol import (
     recorded_outcome_distribution,
 )
 from bellsim.states import BellAngles, MeasurementSetting, chsh_operator
+
+_MAX_FLOAT = 1.7976931348623157e308
+# Half the smallest subnormal, the most one rounding below the normal range can move a result.
+_HALF_SUBNORMAL = mpmath.mpf(2) ** -1075
 
 # The ends of the fidelity range, where the multiplier of the window problem
 # grows as 1/sqrt(F) or 1/(1 - F), and the middle.
@@ -285,3 +290,57 @@ class TestRecordedOutcomeDistribution:
         got = recorded_outcome_distribution(source, pulse, photon, det)
         for value, reference in zip(got, exact):
             assert abs(value - reference) <= 8 * _PROBABILITY_ULP
+
+
+class TestLoopholeArithmetic:
+    """The fiber and detection budgets over their schema ranges.
+
+    Lengths and attenuations are any finite non-negative floats; couplings
+    and stage efficiencies lie in [0, 1].
+    """
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        fiber_length=st.floats(0.0, _MAX_FLOAT),
+        attenuation=st.floats(0.0, _MAX_FLOAT),
+        coupling=st.floats(0.0, 1.0),
+    )
+    @example(fiber_length=1e5, attenuation=0.2, coupling=1.0)  # the swap default, x = -2
+    @example(fiber_length=3e5, attenuation=10.0, coupling=0.5)  # x = -300, still normal
+    @example(fiber_length=3.2e5, attenuation=10.0, coupling=0.5)  # x = -320, a subnormal result
+    @example(fiber_length=1e10, attenuation=_MAX_FLOAT, coupling=1.0)  # the dB product overflows
+    @example(fiber_length=1e-320, attenuation=_MAX_FLOAT, coupling=1.0)  # a subnormal length
+    def test_photon_survival_within_its_rounding_bound(self, fiber_length, attenuation, coupling):
+        # coupling * 10**x, x = -attenuation * fiber_length / 10**4: the three
+        # roundings of x move it by up to 3 ulps, which 10**x turns into
+        # |x| ln 10 ulps of the result; pow and the product add about 2 more.
+        # The worst of 20000 scratch configs was 2.3 units of
+        # 2**-53 * (1 + |x| ln 10).  Below the normal range a rounding moves
+        # the result by up to half a subnormal step, so one whole step is allowed.
+        got = photon_survival(fiber_length, attenuation, coupling)
+        with mpmath.workdps(50):
+            x = -mpmath.mpf(attenuation) * mpmath.mpf(fiber_length) / 10**4
+            # 10**-400 is far below a subnormal step; a larger |x| only slows mpmath
+            exact = mpmath.mpf(coupling) * mpmath.power(10, max(x, -400))
+            bound = 4 * 2.0**-53 * (1 + abs(x) * mpmath.log(10)) * exact + 2 * _HALF_SUBNORMAL
+            assert abs(mpmath.mpf(got) - exact) <= bound
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=8))
+    @example([0.10, 0.01, 0.20])  # the loopholes default
+    @example([])
+    @example([1e-200, 1e-100, 0.3])  # normal, near the bottom of the range
+    @example([1e-300, 1e-20, 0.3, 0.7])  # every product is subnormal
+    @example([5e-324, 0.5, 1.0])
+    def test_detection_efficiency_within_k_minus_1_roundings(self, efficiencies):
+        # k factors take k - 1 rounded products, each within 2**-53 relative
+        # while the partial product is normal; the factors are at most 1, so a
+        # normal result has only normal partial products, and below the normal
+        # range each product adds at most half a subnormal step.  The worst of
+        # 20000 scratch configs with k <= 8 was 2.25 * 2**-53.
+        got = detection_efficiency(efficiencies)
+        roundings = max(len(efficiencies) - 1, 0)
+        with mpmath.workprec(53 * 8 + 16):  # exact for up to 8 factors
+            exact = mpmath.fprod([mpmath.mpf(x) for x in efficiencies])
+            bound = roundings * (2.0**-53 * exact + _HALF_SUBNORMAL)
+            assert abs(mpmath.mpf(got) - exact) <= bound
