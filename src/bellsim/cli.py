@@ -130,7 +130,9 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         ),
         "werner_p_a": _Key(float, 1.0, _UNIT, "--werner-p-a"),
         "werner_p_b": _Key(float, 1.0, _UNIT, "--werner-p-b"),
-        "nodes": _Key(int, 2, (">= 2", lambda v: v >= 2), "--nodes"),
+        "nodes": _Key(
+            int, 2, (f"in [2, {_MAX_COUNT}]", lambda v: 2 <= v <= _MAX_COUNT), "--nodes"
+        ),
         "attempt_rate": _Key(float, 8.3e3, _POSITIVE, "--attempt-rate"),
         "link_success": _Key(
             float, 2.0e-4, ("in (0, 1]", lambda v: 0.0 < v <= 1.0), "--link-success"
@@ -141,11 +143,18 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
 }
 
 
+def _float(command: str, key: str, value: int | float) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{command}: key {key!r} holds a number too large for a float") from None
+
+
 def _check_type(command: str, key: str, value: Any, expected: type) -> Any:
     if expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{command}: key {key!r} must be a number, got {value!r}")
-        return float(value)
+        return _float(command, key, value)
     if expected is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{command}: key {key!r} must be an integer, got {value!r}")
@@ -159,7 +168,7 @@ def _check_type(command: str, key: str, value: Any, expected: type) -> Any:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
         ):
             raise ConfigError(f"{command}: key {key!r} must be a list of numbers, got {value!r}")
-        return [float(v) for v in value]
+        return [_float(command, key, v) for v in value]
     if expected is str:
         if value is not None and not isinstance(value, str):
             raise ConfigError(f"{command}: key {key!r} must be a string, got {value!r}")
@@ -211,20 +220,6 @@ def load_config_file(path: str) -> dict[str, Any]:
 def _fmt(value: float) -> str:
     """CSV number rendering: 6 significant digits, locale-independent."""
     return f"{value:.6g}"
-
-
-def _report_skeleton(command: str, config: dict[str, Any]) -> dict[str, Any]:
-    # The output path is I/O disposition, not computation: identical runs
-    # written to different paths must still be byte-identical.
-    embedded = {k: v for k, v in config.items() if k != "output"}
-    return {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "command": command,
-        "seed": config["seed"],
-        "config": embedded,
-        "results": {},
-    }
 
 
 def _csv_header(report: dict[str, Any]) -> list[str]:
@@ -279,30 +274,11 @@ def _emit(text: str, output: str | None) -> None:
 # chsh
 
 
-def _bell_result_dict(result) -> dict[str, Any]:
-    return {
-        "correlations": [
-            {
-                "theta_ion_pi": est.theta_ion / math.pi,
-                "theta_photon_pi": est.theta_photon / math.pi,
-                "correlation": est.correlation,
-                "sigma": est.sigma,
-                "events": est.events,
-            }
-            for est in result.correlations
-        ],
-        "bell_value": result.bell_value,
-        "bell_sigma": result.bell_sigma,
-        "events_used": result.events_used,
-    }
-
-
 def cmd_chsh(config: dict[str, Any]) -> dict[str, Any]:
     """run both four-correlation Bell measurements"""
     from .harness import reference_bell_results, run_experiment
     from .protocol import DetectorParams, SourceParams
 
-    report = _report_skeleton("chsh", config)
     if config["table1_fixture"]:
         first, second = reference_bell_results()
     else:
@@ -317,13 +293,7 @@ def cmd_chsh(config: dict[str, Any]) -> dict[str, Any]:
         first, second = run_experiment(
             config["events_per_setting"], source, det, seed=config["seed"]
         )
-    report["results"] = {
-        "experiments": [
-            {"experiment": 1, **_bell_result_dict(first)},
-            {"experiment": 2, **_bell_result_dict(second)},
-        ]
-    }
-    return report
+    return {"experiments": [first, second]}
 
 
 def _chsh_csv(report: dict[str, Any]) -> str:
@@ -372,9 +342,8 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
             "the signed minimum is negative",
             file=sys.stderr,
         )
-    report = _report_skeleton("bounds", config)
     target = bell_pair_ideal()
-    report["results"] = {
+    return {
         "fidelity": f,
         "closed_form": {"bell_min": numeric.bell_min, "bell_max": numeric.bell_max},
         "numeric": {
@@ -395,7 +364,6 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
             "eigenvalues": sorted(np.linalg.eigvalsh(numeric.witness_max.matrix).tolist()),
         },
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +374,9 @@ def cmd_lhv(config: dict[str, Any]) -> dict[str, Any]:
     """deterministic local strategies and angle scan"""
     from .bounds import enumerate_strategies, tsirelson_scan
 
-    report = _report_skeleton("lhv", config)
     table = enumerate_strategies()
     scan = tsirelson_scan(config["grid"])
-    report["results"] = {
+    return {
         "strategies": [
             {**dict(zip(("a1", "a2", "b1", "b2"), strategy)), "bell_value": value}
             for strategy, value in table
@@ -421,7 +388,6 @@ def cmd_lhv(config: dict[str, Any]) -> dict[str, Any]:
             "thetas_pi": [t / math.pi for t in scan.thetas],
         },
     }
-    return report
 
 
 def _lhv_csv(report: dict[str, Any]) -> str:
@@ -458,8 +424,7 @@ def cmd_loopholes(config: dict[str, Any]) -> dict[str, Any]:
         }
         for attenuation in config["attenuation_sweep"]
     ]
-    report = _report_skeleton("loopholes", config)
-    report["results"] = {
+    results: dict[str, Any] = {
         "locality": {
             "separation_m": config["separation"],
             "total_measurement_time_s": config["detection_time"] + config["rotation_time"],
@@ -489,8 +454,8 @@ def cmd_loopholes(config: dict[str, Any]) -> dict[str, Any]:
                     },
                 }
             )
-        report["results"]["feasibility_grid"] = grid
-    return report
+        results["feasibility_grid"] = grid
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +491,7 @@ def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
     latency = chain_latency(
         config["nodes"], survival, config["attempt_rate"], config["link_success"]
     )
-    report = _report_skeleton("swap", config)
-    report["results"] = {
+    return {
         "trials": config["trials"],
         "outcome_counts": counts,
         "success_rate": (counts[PSI_PLUS] + counts[PSI_MINUS]) / config["trials"],
@@ -538,7 +502,6 @@ def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
             "expected_latency_s": latency,
         },
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +510,7 @@ def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
 # The wide tables; every other command renders through _flat_csv.
 _CSV_RENDERERS: dict[str, Callable[[dict[str, Any]], str]] = {"chsh": _chsh_csv, "lhv": _lhv_csv}
 
+# Each runner returns its report's ``results``; run_command wraps them in the envelope.
 _RUNNERS: dict[str, Callable[[dict[str, Any]], dict[str, Any]]] = {
     "chsh": cmd_chsh,
     "bounds": cmd_bounds,
@@ -588,8 +552,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(command: str, config: dict[str, Any]) -> str:
-    """Execute a command and render its report in the configured format."""
-    report = _RUNNERS[command](config)
+    """Execute a command and render its report in the configured format.
+
+    The report wraps the runner's ``results`` in the envelope that every
+    command shares.  The embedded config leaves out the output path, an I/O
+    disposition: identical runs written to different paths stay byte-identical.
+    """
+    report = {
+        "tool": TOOL_NAME,
+        "version": __version__,
+        "command": command,
+        "seed": config["seed"],
+        "config": {k: v for k, v in config.items() if k != "output"},
+        "results": _RUNNERS[command](config),
+    }
     try:
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:

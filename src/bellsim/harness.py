@@ -14,7 +14,7 @@ sigma_q = sqrt((1 - q^2)/N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -50,31 +50,6 @@ def _role_order_settings(experiment: int) -> list[tuple[float, float]]:
 def experiment_settings(experiment: int) -> list[tuple[float, float]]:
     """(theta_ion, theta_photon) pairs in published table order."""
     return sorted(_role_order_settings(experiment))
-
-
-@dataclass(frozen=True)
-class SettingEstimate:
-    """One measured correlation with its settings and uncertainty."""
-
-    theta_ion: float
-    theta_photon: float
-    correlation: float
-    sigma: float
-    events: int
-
-
-@dataclass(frozen=True)
-class BellResult:
-    """One complete inequality measurement: four correlations and the signal."""
-
-    correlations: tuple[SettingEstimate, ...]
-    bell_value: float
-    bell_sigma: float
-    events_used: int
-
-    def __post_init__(self) -> None:
-        if self.bell_sigma < 0.0 or self.bell_value < 0.0:
-            raise ValueError("Bell value and its uncertainty must be non-negative")
 
 
 def estimate_correlation(counts: np.ndarray) -> tuple[float, float]:
@@ -128,8 +103,8 @@ REFERENCE_CORRELATIONS_2: dict[tuple[float, float], float] = {
 REFERENCE_SIGMA_Q = 0.014  # back-solved from the published +/- 0.028
 
 
-def reference_bell_results() -> tuple[BellResult, BellResult]:
-    """Recompute both reference Bell signals from the published correlations."""
+def reference_bell_results() -> tuple[dict[str, Any], dict[str, Any]]:
+    """Both ``chsh`` report blocks, recomputed from the published reference correlations."""
     first, second = (
         _assemble_result(experiment, {key: (q, REFERENCE_SIGMA_Q) for key, q in table.items()}, 0)
         for experiment, table in ((1, REFERENCE_CORRELATIONS_1), (2, REFERENCE_CORRELATIONS_2))
@@ -141,22 +116,31 @@ def _assemble_result(
     experiment: int,
     by_setting: dict[tuple[float, float], tuple[float, float]],
     events_per_setting: int,
-) -> BellResult:
-    """Build a BellResult from per-setting (q, sigma) estimates keyed (theta_ion, theta_photon).
+) -> dict[str, Any]:
+    """The ``chsh`` report block of one experiment, from per-setting (q, sigma) estimates.
 
+    ``by_setting`` is keyed (theta_ion, theta_photon) in radians; the block
+    lists the correlations in table order with angles in units of pi.
     ``qij`` is the correlation at role-A setting i and role-B setting j;
     sigma_B adds the four sigma_q in quadrature.
     """
     q11, q12, q21, q22 = (by_setting[key] for key in _role_order_settings(experiment))
-    return BellResult(
-        correlations=tuple(
-            SettingEstimate(ts, tp, *by_setting[(ts, tp)], events_per_setting)
+    return {
+        "experiment": experiment,
+        "correlations": [
+            {
+                "theta_ion_pi": ts / math.pi,
+                "theta_photon_pi": tp / math.pi,
+                "correlation": by_setting[(ts, tp)][0],
+                "sigma": by_setting[(ts, tp)][1],
+                "events": events_per_setting,
+            }
             for ts, tp in experiment_settings(experiment)
-        ),
-        bell_value=bell_signal(q22[0], q12[0], q21[0], q11[0]),
-        bell_sigma=math.sqrt(sum(s * s for _, s in (q11, q12, q21, q22))),
-        events_used=4 * events_per_setting,
-    )
+        ],
+        "bell_value": bell_signal(q22[0], q12[0], q21[0], q11[0]),
+        "bell_sigma": math.sqrt(sum(s * s for _, s in (q11, q12, q21, q22))),
+        "events_used": 4 * events_per_setting,
+    }
 
 
 def _measure_setting(
@@ -186,8 +170,8 @@ def run_experiment(
     source: SourceParams,
     det: DetectorParams,
     seed: int,
-) -> tuple[BellResult, BellResult]:
-    """Run both complete inequality measurements.
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Run both complete inequality measurements and return their ``chsh`` report blocks.
 
     Every (experiment, setting) pair owns independent seeded streams
     spawned in a fixed order (experiment 1 in table order, then

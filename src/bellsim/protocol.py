@@ -189,20 +189,6 @@ class EventRecord(NamedTuple):
     pmt_role_swapped: bool
 
 
-def _herald_parts(
-    source: SourceParams, det: DetectorParams
-) -> tuple[tuple[float, int], tuple[float, int]]:
-    """Per-attempt p_true and p_dark = (1 - p_true) * dark rate, as ``math.frexp`` pairs.
-
-    The mantissas multiply apart from the exponents, so a subnormal dark
-    rate keeps every bit.
-    """
-    p_true = source.success_probability
-    m_rest, e_rest = math.frexp(1.0 - p_true)
-    m_rate, e_rate = math.frexp(det.dark_event_probability)
-    return math.frexp(p_true), (m_rest * m_rate, e_rest + e_rate)
-
-
 def _recorded_weights(
     source: SourceParams, det: DetectorParams
 ) -> tuple[float, tuple[float, float], float]:
@@ -214,7 +200,13 @@ def _recorded_weights(
     underflowing.  Raises ``ValueError`` when no outcome is ever recorded.
     """
     efficiencies = (det.pmt_efficiency_1, det.pmt_efficiency_2)
-    (m_true, e_true), (m_dark, e_dark) = _herald_parts(source, det)
+    p_true = source.success_probability
+    # p_dark = (1 - p_true) * dark rate: the mantissas multiply apart from
+    # the exponents, so a subnormal dark rate keeps every bit.
+    m_rest, e_rest = math.frexp(1.0 - p_true)
+    m_rate, e_rate = math.frexp(det.dark_event_probability)
+    m_dark, e_dark = m_rest * m_rate, e_rest + e_rate
+    m_true, e_true = math.frexp(p_true)
     m_eff, e_eff = math.frexp(max(efficiencies))
     m_true, e_true = (m_true if m_eff > 0.0 else 0.0), e_true + e_eff
     live = [e for m, e in ((m_true, e_true), (m_dark, e_dark)) if m > 0.0]
@@ -283,8 +275,8 @@ def _branch_weights(
     efficiency, and a dark click; ``probs`` is the photon marginal.  The
     weights sum to the acceptance, capped at 1 as the marginal can round above.
     """
-    (m_true, e_true), (m_dark, e_dark) = _herald_parts(source, det)
-    p_true, p_dark = math.ldexp(m_true, e_true), math.ldexp(m_dark, e_dark)
+    p_true = source.success_probability
+    p_dark = (1.0 - p_true) * det.dark_event_probability
     dark_share = p_dark / (p_true + p_dark) if p_dark > 0.0 else 0.0
     efficiencies = (det.pmt_efficiency_1, det.pmt_efficiency_2)
     swapped = int(det.pmt_role_swapped)

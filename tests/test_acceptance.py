@@ -58,7 +58,7 @@ def _report(criterion: int, description: str, ok: bool) -> None:
 
 def test_criterion_01_reference_table_recomputation():
     first, second = reference_bell_results()
-    ok = abs(first.bell_value - 2.203) <= 5e-4 and abs(second.bell_value - 2.218) <= 5e-4
+    ok = abs(first["bell_value"] - 2.203) <= 5e-4 and abs(second["bell_value"] - 2.218) <= 5e-4
     _report(1, "published correlations recompute to B = 2.203 and 2.218 (+/- 0.0005)", ok)
 
 
@@ -126,9 +126,9 @@ def test_criterion_06_monte_carlo_convergence():
     elapsed = time.time() - start
     ok = elapsed < 60.0
     for result in ideal:
-        ok = ok and abs(result.bell_value - 2.82843) <= 3.0 * result.bell_sigma
+        ok = ok and abs(result["bell_value"] - 2.82843) <= 3.0 * result["bell_sigma"]
     for result in werner_run:
-        ok = ok and abs(result.bell_value - 2.33822) <= 3.0 * result.bell_sigma
+        ok = ok and abs(result["bell_value"] - 2.33822) <= 3.0 * result["bell_sigma"]
     _report(
         6,
         f"1e5 events/setting: ideal within 3 sigma of 2.82843, mixed within 3 sigma of 2.33822 ({elapsed:.1f}s)",
@@ -138,7 +138,7 @@ def test_criterion_06_monte_carlo_convergence():
 
 def test_criterion_07_statistical_scale():
     first, second = run_experiment(2000, SourceParams(werner_p=0.82667), DetectorParams(), seed=6)
-    sigmas = [first.bell_sigma, second.bell_sigma]
+    sigmas = [first["bell_sigma"], second["bell_sigma"]]
     ok = all(0.02 <= s <= 0.05 for s in sigmas) and 0.02 <= 0.028 <= 0.05
     _report(
         7,

@@ -20,7 +20,6 @@ from bellsim.cli import (
     _SCHEMAS,
     ConfigError,
     _fmt,
-    _report_skeleton,
     build_parser,
     main,
     resolve_config,
@@ -571,9 +570,7 @@ class TestRuntimeFailures:
         config is known to reach one, so the runner's report is replaced."""
 
         def overflowing(config):
-            report = _report_skeleton("loopholes", config)
-            report["results"] = {"required_separation_m": math.inf}
-            return report
+            return {"required_separation_m": math.inf}
 
         monkeypatch.setitem(_RUNNERS, "loopholes", overflowing)
         code, out, err = run_cli(capsys, "loopholes", "--format", fmt)
@@ -602,7 +599,7 @@ def _extremes(key, spec):
     accepts = spec.allowed[1] if spec.allowed else (lambda v: True)
     if spec.type is int:
         low = next(v for v in itertools.count() if accepts(v))
-        pool = (low, low + 1, 2**53, 2**63 - 1)
+        pool = (low, low + 1, 2**53, 2**63 - 1, 2**1024)
     elif spec.type is bool:
         pool = (False, True)
     elif spec.type is str:
@@ -610,6 +607,8 @@ def _extremes(key, spec):
     else:
         pool = _FLOAT_EXTREMES
     values = [v for v in pool if accepts(v)]
+    if spec.type in (float, list):  # a JSON integer too large for a float
+        values.append(10**400)
     if key == "grid":  # the Tsirelson scan is O(N^3): above 256 one run takes seconds
         values = [v for v in values if v <= 256]
     if spec.type is list:

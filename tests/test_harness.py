@@ -8,7 +8,6 @@ import pytest
 from bellsim.harness import (
     REFERENCE_CORRELATIONS_1,
     REFERENCE_CORRELATIONS_2,
-    BellResult,
     _role_order_settings,
     combine_swapped_runs,
     estimate_correlation,
@@ -98,31 +97,28 @@ class TestCombineSwappedRuns:
 class TestBellFromCorrelations:
     def test_reference_upper_block(self):
         first, _ = reference_bell_results()
-        assert first.bell_value == pytest.approx(2.203, abs=5e-4)
-        assert first.bell_sigma == pytest.approx(0.028, abs=5e-4)
+        assert first["bell_value"] == pytest.approx(2.203, abs=5e-4)
+        assert first["bell_sigma"] == pytest.approx(0.028, abs=5e-4)
 
     def test_reference_lower_block(self):
         _, second = reference_bell_results()
-        assert second.bell_value == pytest.approx(2.218, abs=5e-4)
-        assert second.bell_sigma == pytest.approx(0.028, abs=5e-4)
+        assert second["bell_value"] == pytest.approx(2.218, abs=5e-4)
+        assert second["bell_sigma"] == pytest.approx(0.028, abs=5e-4)
 
     def test_reference_tables_are_presented_in_table_order(self):
         first, second = reference_bell_results()
-        rows_1 = [(e.theta_ion, e.theta_photon, e.correlation) for e in first.correlations]
-        assert rows_1 == [
-            (ts, tp, REFERENCE_CORRELATIONS_1[(ts, tp)]) for ts, tp in experiment_settings(1)
-        ]
-        rows_2 = [(e.theta_ion, e.theta_photon, e.correlation) for e in second.correlations]
-        assert rows_2 == [
-            (ts, tp, REFERENCE_CORRELATIONS_2[(ts, tp)]) for ts, tp in experiment_settings(2)
-        ]
+        for block, table in ((first, REFERENCE_CORRELATIONS_1), (second, REFERENCE_CORRELATIONS_2)):
+            rows = [
+                (e["theta_ion_pi"], e["theta_photon_pi"], e["correlation"])
+                for e in block["correlations"]
+            ]
+            assert rows == [
+                (ts / math.pi, tp / math.pi, table[(ts, tp)])
+                for ts, tp in experiment_settings(block["experiment"])
+            ]
 
     def test_all_zero_correlations(self):
         assert bell_signal(0.0, 0.0, 0.0, 0.0) == 0.0
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            BellResult(correlations=(), bell_value=1.0, bell_sigma=-0.1, events_used=0)
 
 
 class TestRunExperiment:
@@ -130,8 +126,8 @@ class TestRunExperiment:
         events = 100_000
         first, second = run_experiment(events, SourceParams(), DetectorParams(), seed=42)
         for result in (first, second):
-            assert abs(result.bell_value - TSIRELSON) < 3.0 * result.bell_sigma
-            assert result.events_used == 400_000
+            assert abs(result["bell_value"] - TSIRELSON) < 3.0 * result["bell_sigma"]
+            assert result["events_used"] == 400_000
 
     def test_werner_source_is_scaled(self):
         events = 100_000
@@ -139,7 +135,7 @@ class TestRunExperiment:
             events, SourceParams(werner_p=WERNER_P), DetectorParams(), seed=42
         )
         for result in (first, second):
-            assert abs(result.bell_value - WERNER_BELL) < 3.0 * result.bell_sigma
+            assert abs(result["bell_value"] - WERNER_BELL) < 3.0 * result["bell_sigma"]
 
     def test_sigma_band_at_reference_scale(self):
         events = 2000
@@ -147,7 +143,7 @@ class TestRunExperiment:
             events, SourceParams(werner_p=WERNER_P), DetectorParams(), seed=9
         )
         for result in (first, second):
-            assert 0.02 <= result.bell_sigma <= 0.05
+            assert 0.02 <= result["bell_sigma"] <= 0.05
 
     def test_same_seed_reproduces(self):
         events = 2000
@@ -159,9 +155,9 @@ class TestRunExperiment:
         events = 500
         first, second = run_experiment(events, SourceParams(werner_p=0.5), DetectorParams(), seed=1)
         for result in (first, second):
-            assert result.bell_value <= 4.0
-            for estimate in result.correlations:
-                assert abs(estimate.correlation) <= 1.0
+            assert result["bell_value"] <= 4.0
+            for estimate in result["correlations"]:
+                assert abs(estimate["correlation"]) <= 1.0
 
     def test_swapped_detector_config_rejected(self):
         with pytest.raises(ValueError, match="normal-role"):
@@ -178,9 +174,10 @@ class TestRunExperiment:
         events = 100_000
         det = DetectorParams(pmt_efficiency_1=0.95, pmt_efficiency_2=0.55)
         first, _ = run_experiment(events, SourceParams(werner_p=WERNER_P), det, seed=12)
-        for estimate in first.correlations:
-            expected = WERNER_P * math.cos(estimate.theta_ion - estimate.theta_photon)
-            assert abs(estimate.correlation - expected) < 5.0 * estimate.sigma
+        for estimate in first["correlations"]:
+            theta_ion, theta_photon = estimate["theta_ion_pi"], estimate["theta_photon_pi"]
+            expected = WERNER_P * math.cos(theta_ion * math.pi - theta_photon * math.pi)
+            assert abs(estimate["correlation"] - expected) < 5.0 * estimate["sigma"]
 
     def test_equal_efficiencies_combined_matches_pooled(self):
         # with symmetric PMTs, equal-weight combination and raw pooling agree
@@ -212,8 +209,8 @@ class TestRunExperiment:
         sigmas = []
         for seed in range(100):
             first, _ = run_experiment(events, source, DetectorParams(), seed=seed)
-            values.append(first.bell_value)
-            sigmas.append(first.bell_sigma)
+            values.append(first["bell_value"])
+            sigmas.append(first["bell_sigma"])
         scatter = float(np.std(values))
         reported = float(np.mean(sigmas))
         assert abs(scatter - reported) / reported < 0.30
