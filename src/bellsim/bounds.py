@@ -1,16 +1,14 @@
 """Bell-signal bounds: fidelity-constrained extremes, LHV ceiling, Tsirelson scan.
 
-The fidelity-constrained window uses the signed operator form W of the
-CHSH combination (no absolute values).  Every setting it accepts has
-azimuth 0 or pi, so all four Bloch axes lie in the x-z plane, where W is
-block-diagonal in the Bell basis with blocks {Phi+, Psi-} and {Phi-, Psi+}
-(the Horodecki picture of CHSH, Phys. Lett. A 200, 340 (1995)).  W then
-couples the ideal pair Phi+ to Psi- alone, and the window has a closed
-form at every in-plane angle; at the canonical angles it is
-[2*sqrt(2)*(2F - 1), 2*sqrt(2)*F].  The solver returns pure witness
-states, certifies each extreme by a Lagrange dual bound (the reported
-duality gap), and evaluates the absolute-value form, which can only be
-larger, on the witnesses.
+The fidelity-constrained window uses the signed CHSH operator W.  Every
+setting it accepts has azimuth 0 or pi, so all four Bloch axes lie in the
+x-z plane, where W is [[P, Q], [Q, -P]] on (Phi+, Psi-) plus
+[[R, S], [S, -R]] on (Phi-, Psi+) (the Horodecki picture of CHSH, Phys.
+Lett. A 200, 340 (1995)).  W couples the ideal pair Phi+ to Psi- alone, so
+the window has a closed form at every in-plane angle, solved in plain
+floats; at the canonical angles it is [2*sqrt(2)*(2F - 1), 2*sqrt(2)*F].
+Each extreme comes with a pure witness ket, a Lagrange dual bound (the
+duality gap) and the absolute-value form on the witness.
 """
 
 from __future__ import annotations
@@ -19,31 +17,25 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _MAX_GRID
-from .states import (
-    BellAngles,
-    DensityMatrix,
-    bell_pair_ideal,
-    bell_signal,
-    chsh_operator,
-    correlation,
-    fidelity,
-)
+from .settings import BellAngles, bell_signal
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 LHV_BOUND = 2.0
+# R and S each sum four unit-bounded terms; below this they are rounding noise (about
+# 1e-16 at the canonical angles, where both vanish), and the second block counts as 0.
+_BLOCK_NOISE = 2.0**-50
+Quad = tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    """Extremes of the signed Bell signal under a fidelity constraint."""
+    """Extremes of the signed Bell signal at a fidelity; witnesses are real kets, atom first."""
 
     bell_min: float
     bell_max: float
-    witness_min: DensityMatrix
-    witness_max: DensityMatrix
+    witness_min: Quad
+    witness_max: Quad
     abs_form_min: float
     abs_form_max: float
     duality_gap: float
@@ -60,101 +52,96 @@ class ScanResult:
     """Best Bell signal found on an ideal-pair angle grid."""
 
     bell_value: float
-    thetas: tuple[float, float, float, float]  # (a1, a2, b1, b2)
+    thetas: Quad  # (a1, a2, b1, b2)
 
 
-def _check_fidelity(f: float) -> None:
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"fidelity {f!r} outside [0, 1]")
+def _pair_blocks(angles: BellAngles) -> list[Quad]:
+    """Blocks (cos(a - b), sin(b - a), cos(a + b), sin(a + b)) of M_a (x) M_b, a1b1 to a2b2;
+    setting axes are (sin a, 0, cos a), a = -theta at azimuth 0 and theta at azimuth pi."""
+    settings = (angles.a1, angles.a2, angles.b1, angles.b2)
+    for setting in settings:
+        if setting.phi not in (0.0, math.pi):
+            raise ValueError(f"setting azimuth {setting.phi!r} is out of the x-z plane (0 or pi)")
+    a1, a2, b1, b2 = (setting.theta if setting.phi else -setting.theta for setting in settings)
+    pairs = ((a, b) for a in (a1, a2) for b in (b1, b2))
+    return [(math.cos(a - b), math.sin(b - a), math.cos(a + b), math.sin(a + b)) for a, b in pairs]
 
 
-def _max_expectation(
-    w: np.ndarray, target: np.ndarray, f: float
-) -> tuple[float, np.ndarray, float]:
-    """max Tr(rho W) over density matrices with <target|rho|target> = f, W in-plane.
+def _form(v: Quad, blocks: Quad) -> float:
+    """<v|W|v> for a real v in Bell coordinates (Phi+, Psi-, Phi-, Psi+) and W's blocks."""
+    (p, q, r, s), (v0, v1, v2, v3) = blocks, v
+    return p * (v0 * v0 - v1 * v1) + 2.0 * q * v0 * v1 + r * (v2 * v2 - v3 * v3) + 2.0 * s * v2 * v3
 
-    Returns (value, pure witness, duality gap).  An optimal state is pure,
-    v = sqrt(f)|t> + sqrt(1-f) sum_i x_i|e_i>, with e_i the eigenvectors of
-    W on the complement of t (eigenvalues c_i, top last) and h_i = <e_i|W|t>.
-    With k = sqrt(f(1-f))|h|, stationarity gives
-    x_i = (h_i/|h|) / (m + (1-f)(c_top - c_i)/k) for a scaled multiplier m
-    in [0, 1], fixed by |x| = 1.  In the block picture h lies on a single
-    eigenvalue c of W on the complement (the Psi- direction), so the root is
-    closed: with lift = (1-f)(c_top - c)/k, taken as the |h_i/|h||^2-weighted
-    mean, x = h/|h| at m = 1 - lift when lift <= 1, and x = (h/|h|)/lift as
-    m -> 0 otherwise.  The top component then takes up the remaining norm,
-    as it does when k = 0 (at f = 0 and f = 1, or at the canonical angles,
-    where h = 0).  Every m > 0 gives the Lagrange dual bound
-    f W_tt + (1-f) c_top + k (m + sum_i |h_i/|h||^2 / (m + (1-f)(c_top - c_i)/k)),
-    evaluated at m = max(1 - lift, |h_top/|h||, 1e-15).  The middle term is
-    zero in exact arithmetic unless lift = 0; it keeps the bound tight when
-    |h| is at the rounding level and its direction is noise.  Every quantity
-    stays of the order of |W|, so the result holds to rounding over [0, 1].
+
+def _max_expectation(p: float, q: float, r: float, s: float, f: float) -> tuple[float, Quad, float]:
+    """(max <v|W|v> at overlap f with Phi+, its witness in Bell coordinates, duality gap).
+
+    Off Phi+, W has the eigenvalue -p on Psi- and +-hypot(r, s) with top eigenvector
+    e = (cos(g/2), sin(g/2)), g = atan2(s, r); c_top is the largest.  The optimum is
+    v = sqrt(f)|Phi+> + sqrt(1-f)(x|Psi-> + y|e>), and W|Phi+> leaves Phi+ only along
+    Psi-, so with k = sqrt(f(1-f))|q| and lift = (1-f)(c_top + p)/k the root is closed:
+    x = sign(q) at the scaled multiplier m = 1 - lift when lift <= 1, else sign(q)/lift
+    as m -> 0; y takes up the rest of the norm, as when k = 0.  Every m > 0 gives the
+    dual bound f p + (1-f) c_top + k (m + 1/(m + lift)), here at m = max(1 - lift, 1e-15).
+    Tie rule: the rest goes to Psi- only when -p is strictly the larger top, else to e,
+    which is Phi- when hypot(r, s) is at the rounding level (``_BLOCK_NOISE``): both
+    count as 0 there, and atan2(0, 0) = 0.
     """
-    complement = np.linalg.eigh(np.outer(target, target.conj()))[1][:, :3]
-    c, rotation = np.linalg.eigh(complement.conj().T @ w @ complement)
-    basis = complement @ rotation
-    h = basis.conj().T @ (w @ target)
-    k = math.sqrt(f * (1.0 - f)) * float(np.linalg.norm(h))
-    dual = f * float(np.real(np.vdot(target, w @ target))) + (1.0 - f) * float(c[-1])
-    x = np.zeros(3, dtype=complex)
+    top = math.hypot(r, s)
+    if top <= _BLOCK_NOISE:
+        r = s = top = 0.0
+    c_top = max(-p, top)
+    k = math.sqrt(f * (1.0 - f)) * abs(q)
+    dual = f * p + (1.0 - f) * c_top
+    x = 1.0 if -p > top else 0.0
     if k > 0.0:
-        unit = h / np.linalg.norm(h)
-        weight = np.abs(unit) ** 2
-        lift = (1.0 - f) * float(weight @ (c[-1] - c)) / k
-        m = max(1.0 - lift, float(abs(unit[-1])), 1e-15)
-        x = unit / max(lift, 1.0)
-        with np.errstate(over="ignore"):  # an infinite spread only zeroes its term
-            dual += k * (m + float(np.sum(weight / (m + (1.0 - f) * (c[-1] - c) / k))))
-    # x / |x| is NaN once |x| nears 1e-300; exp(i arg x) is a unit phase there and 1 at 0.
-    phase = np.exp(1j * np.angle(x[-1]))
-    x[-1] = phase * math.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(x[:-1]) ** 2))))
-    v = math.sqrt(f) * target + math.sqrt(1.0 - f) * (basis @ x)
-    value = float(np.real(np.vdot(v, w @ v)))
-    return value, np.outer(v, v.conj()), dual - value
+        lift = (1.0 - f) * (c_top + p) / k
+        m = max(1.0 - lift, 1e-15)
+        x = 1.0 / max(lift, 1.0)
+        dual += k * (m + 1.0 / (m + lift))
+    rest, half = math.sqrt(1.0 - f), 0.5 * math.atan2(s, r)
+    y = rest * math.sqrt(max(0.0, 1.0 - x * x))
+    v = (math.sqrt(f), math.copysign(rest * x, q), y * math.cos(half), y * math.sin(half))
+    value = _form(v, (p, q, r, s))
+    return value, v, dual - value
 
 
-def _abs_form_on_witness(rho: DensityMatrix, angles: BellAngles) -> float:
-    """Absolute-value CHSH combination evaluated on a witness state."""
-    q = {
-        (i, j): correlation(rho, a, b)
-        for i, a in ((1, angles.a1), (2, angles.a2))
-        for j, b in ((1, angles.b1), (2, angles.b2))
-    }
-    return bell_signal(q[(2, 2)], q[(1, 2)], q[(2, 1)], q[(1, 1)])
+def _abs_form_on_witness(v: Quad, pairs: list[Quad]) -> float:
+    """Absolute-value CHSH combination on a witness, from the pairs' blocks."""
+    q11, q12, q21, q22 = (_form(v, blocks) for blocks in pairs)
+    return bell_signal(q22, q12, q21, q11)
+
+
+def _ket(v: Quad) -> Quad:
+    """Bell coordinates (Phi+, Psi-, Phi-, Psi+) to the atom-first computational basis."""
+    phi_p, psi_m, phi_m, psi_p = (c / math.sqrt(2.0) for c in v)
+    return (phi_p + phi_m, psi_p + psi_m, psi_p - psi_m, phi_p - phi_m)
 
 
 def extremal_bell_numeric(f: float, angles: BellAngles) -> ExtremalResult:
     """Extremize the signed Bell signal at ``angles`` over states with fidelity f.
 
-    Both extremes are solved exactly (``min`` as the maximum of -W); the
-    result carries the extremal witness states, the absolute-value
-    form evaluated on them, the larger of the two duality gaps, and a
-    convergence flag (gap at most 1e-9).  Fidelities below 1/2 are allowed
-    but flagged out-of-regime.  A setting with an azimuth other than 0 or
-    pi is out of the x-z plane and raises ``ValueError``.
+    Both extremes are exact on W's blocks (P, Q, R, S), the pairs' blocks signed as in
+    q11 - q12 + q21 + q22 (``min`` as the maximum of -W).  Where the optimal witness is
+    not unique, ``abs_form_*`` follows ``_max_expectation``'s tie rule: at the canonical
+    angles the maximum's witness is sqrt(F) Phi+ + sqrt(1 - F) Phi-.  ``converged`` means
+    a duality gap of at most 1e-9.  Fidelities below 1/2 are flagged out-of-regime; an
+    azimuth other than 0 or pi is out of the x-z plane and raises ``ValueError``.
     """
-    _check_fidelity(f)
-    for setting in (angles.a1, angles.a2, angles.b1, angles.b2):
-        if setting.phi not in (0.0, math.pi):
-            raise ValueError(f"setting azimuth {setting.phi!r} is out of the x-z plane (0 or pi)")
-    operator = chsh_operator(angles)
-    target = bell_pair_ideal()
-    max_value, max_rho, max_gap = _max_expectation(operator, target.amplitudes, f)
-    neg_min_value, min_rho, min_gap = _max_expectation(-operator, target.amplitudes, f)
-    witness_max = DensityMatrix(0.5 * (max_rho + max_rho.conj().T))
-    witness_min = DensityMatrix(0.5 * (min_rho + min_rho.conj().T))
-    for witness in (witness_min, witness_max):
-        if abs(fidelity(witness, target) - f) > 1e-6:
-            raise RuntimeError("extremal witness drifted off the fidelity constraint")
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"fidelity {f!r} outside [0, 1]")
+    pairs = _pair_blocks(angles)
+    blocks = [x11 - x12 + x21 + x22 for x11, x12, x21, x22 in zip(*pairs)]
+    max_value, max_v, max_gap = _max_expectation(*blocks, f)
+    neg_min_value, min_v, min_gap = _max_expectation(*(-b for b in blocks), f)
     gap = max(max_gap, min_gap)
     return ExtremalResult(
         bell_min=-neg_min_value,
         bell_max=max_value,
-        witness_min=witness_min,
-        witness_max=witness_max,
-        abs_form_min=_abs_form_on_witness(witness_min, angles),
-        abs_form_max=_abs_form_on_witness(witness_max, angles),
+        witness_min=_ket(min_v),
+        witness_max=_ket(max_v),
+        abs_form_min=_abs_form_on_witness(min_v, pairs),
+        abs_form_max=_abs_form_on_witness(max_v, pairs),
         duality_gap=gap,
         converged=bool(gap <= 1e-9),
         out_of_regime=f < 0.5,
@@ -185,6 +172,8 @@ def tsirelson_scan(grid_resolution: int = 64) -> ScanResult:
     """
     if not 8 <= grid_resolution <= _MAX_GRID:
         raise ValueError(f"grid resolution {grid_resolution} outside [8, {_MAX_GRID}]")
+    import numpy as np
+
     thetas = np.arange(grid_resolution + 1) * (math.pi / grid_resolution)
     c = np.cos(thetas[:, None] - thetas[None, :])
 

@@ -14,8 +14,8 @@ byte-identical output.  Angles are given in units of pi (0.25 means
 pi/4).  Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 
 Each command imports only the layers it runs, numpy included, in its
-``cmd_<command>`` body: ``loopholes``, ``--help``, ``--version`` and
-configuration errors load no numpy.
+``cmd_<command>`` body: ``bounds``, ``loopholes``, ``--help``, ``--version``
+and configuration errors load no numpy.
 """
 
 from __future__ import annotations
@@ -210,7 +210,9 @@ def load_config_file(path: str) -> dict[str, Any]:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and integers past
+        # Python's digit limit; brackets nested too deep exhaust the recursion limit.
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
@@ -323,10 +325,8 @@ def _chsh_csv(report: dict[str, Any]) -> str:
 
 def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
     """fidelity-constrained Bell-signal window"""
-    import numpy as np
-
     from .bounds import extremal_bell_numeric
-    from .states import BellAngles, bell_pair_ideal, fidelity
+    from .settings import BellAngles
 
     if config["fidelity"] is None:
         raise ConfigError("bounds: a fidelity value is required (--fidelity or config)")
@@ -342,7 +342,14 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
             "the signed minimum is negative",
             file=sys.stderr,
         )
-    target = bell_pair_ideal()
+    # Each witness is a pure ket k: fidelity <Phi+|k>^2 and spectrum {0, 0, 0, |k|^2}.
+    witnesses = {
+        name: {
+            "fidelity": (k[0] + k[3]) ** 2 / 2.0,
+            "eigenvalues": [0.0, 0.0, 0.0, sum(c * c for c in k)],
+        }
+        for name, k in (("witness_min", numeric.witness_min), ("witness_max", numeric.witness_max))
+    }
     return {
         "fidelity": f,
         "closed_form": {"bell_min": numeric.bell_min, "bell_max": numeric.bell_max},
@@ -355,14 +362,7 @@ def cmd_bounds(config: dict[str, Any]) -> dict[str, Any]:
             "converged": numeric.converged,
             "out_of_regime": numeric.out_of_regime,
         },
-        "witness_min": {
-            "fidelity": fidelity(numeric.witness_min, target),
-            "eigenvalues": sorted(np.linalg.eigvalsh(numeric.witness_min.matrix).tolist()),
-        },
-        "witness_max": {
-            "fidelity": fidelity(numeric.witness_max, target),
-            "eigenvalues": sorted(np.linalg.eigvalsh(numeric.witness_max.matrix).tolist()),
-        },
+        **witnesses,
     }
 
 

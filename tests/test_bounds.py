@@ -17,6 +17,7 @@ from bellsim.bounds import (
 )
 from bellsim.states import (
     BellAngles,
+    DensityMatrix,
     MeasurementSetting,
     bell_pair_ideal,
     chsh_operator,
@@ -30,6 +31,11 @@ CANONICAL = BellAngles.canonical()
 def _window(f, angles=CANONICAL):
     result = extremal_bell_numeric(f, angles)
     return result.bell_min, result.bell_max
+
+
+def _density(ket):
+    """The validated density matrix of a witness ket."""
+    return DensityMatrix(np.outer(ket, ket))
 
 
 class TestClosedForm:
@@ -90,7 +96,7 @@ class TestNumericExtremes:
     def test_witnesses_satisfy_constraint(self):
         result = extremal_bell_numeric(0.87, CANONICAL)
         target = bell_pair_ideal()
-        for witness in (result.witness_min, result.witness_max):
+        for witness in map(_density, (result.witness_min, result.witness_max)):
             assert abs(fidelity(witness, target) - 0.87) < 1e-6
             eigenvalues = np.linalg.eigvalsh(witness.matrix)
             assert eigenvalues.min() > -1e-10
@@ -108,6 +114,17 @@ class TestNumericExtremes:
         assert result.bell_min == pytest.approx(closed_min, abs=1e-9)
         assert result.bell_min < 0.0
         assert result.bell_max == pytest.approx(closed_max, abs=1e-9)
+
+    def test_degenerate_optimum_takes_phi_minus(self):
+        """At the canonical angles W vanishes on (Phi-, Psi+), so the maximum's
+        witness is not unique; the solver's fixed rule puts the rest on Phi-."""
+        f = 0.3
+        result = extremal_bell_numeric(f, CANONICAL)
+        r = math.sqrt(0.5)
+        phi_plus, phi_minus = np.array([r, 0.0, 0.0, r]), np.array([r, 0.0, 0.0, -r])
+        expected = math.sqrt(f) * phi_plus + math.sqrt(1.0 - f) * phi_minus
+        assert np.allclose(result.witness_max, expected, rtol=0.0, atol=1e-12)
+        assert result.abs_form_max == pytest.approx(result.bell_max, abs=1e-12)
 
     def test_constraint_rejects_bad_fidelity(self):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
@@ -141,7 +158,8 @@ class TestDualCertificate:
         w = chsh_operator(angles)
         projector = np.outer(target.amplitudes, target.amplitudes.conj())
         extremes = ((result.witness_max, result.bell_max), (result.witness_min, result.bell_min))
-        for witness, value in extremes:
+        for ket, value in extremes:
+            witness = _density(ket)
             assert abs(fidelity(witness, target) - f) <= 1e-9
             assert np.linalg.eigvalsh(witness.matrix).min() >= -1e-12
             assert np.trace(witness.matrix).real == pytest.approx(1.0, abs=1e-12)

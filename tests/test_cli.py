@@ -284,6 +284,23 @@ class TestConfigFileHandling:
         assert code == 2
         assert "JSON" in err
 
+    @pytest.mark.parametrize(
+        "content, cause",
+        [
+            (b'{"werner_p": ' + b"1" * 5000 + b"}", "digits"),
+            (b'{"werner_p": 0.9, "\xff": 1}', "utf-8"),
+            (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+        ],
+        ids=["5000-digit-integer", "non-utf8-byte", "nested-brackets"],
+    )
+    def test_unparsable_config_file_exits_2_naming_it(self, capsys, tmp_path, content, cause):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "chsh", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "bad.json" in err and cause in err
+
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "chsh", "--config", str(tmp_path / "nope.json"))
         assert code == 2
@@ -514,11 +531,17 @@ class TestColdStart:
         "argv, layers",
         [
             (None, []),
-            (["chsh", "--events", "2"], ["bellsim.harness", "bellsim.protocol", "bellsim.states"]),
-            (["bounds", "--fidelity", "0.87"], ["bellsim.bounds", "bellsim.states"]),
-            (["lhv", "--grid", "8"], ["bellsim.bounds", "bellsim.states"]),
+            (
+                ["chsh", "--events", "2"],
+                ["bellsim.harness", "bellsim.protocol", "bellsim.settings", "bellsim.states"],
+            ),
+            (["bounds", "--fidelity", "0.87"], ["bellsim.bounds", "bellsim.settings"]),
+            (["lhv", "--grid", "8"], ["bellsim.bounds", "bellsim.settings"]),
             (["loopholes"], ["bellsim.loopholes"]),
-            (["swap", "--trials", "10"], ["bellsim.loopholes", "bellsim.network", "bellsim.states"]),
+            (
+                ["swap", "--trials", "10"],
+                ["bellsim.loopholes", "bellsim.network", "bellsim.settings", "bellsim.states"],
+            ),
         ],
         ids=["import", "chsh", "bounds", "lhv", "loopholes", "swap"],
     )
@@ -534,6 +557,16 @@ class TestColdStart:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
         assert result.stderr.strip() == str(sorted(_CORE_MODULES + layers))
+
+    def test_bounds_loads_no_numpy(self):
+        """The Bell window is plain float arithmetic on two 2x2 blocks."""
+        probe = (
+            "import sys, bellsim.cli; "
+            "assert bellsim.cli.main(['bounds', '--fidelity', '0.87']) == 0; "
+            "assert 'numpy' not in sys.modules"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_runs_that_compute_nothing_load_no_numpy(self):
         """The import, loopholes, --version, --help and a config error run

@@ -142,6 +142,44 @@ class TestExpectedMaxAttempts:
         got = _expected_max_attempts(n, p)
         assert abs((got - exact) / exact) <= 1e-13
 
+    # Up to 2**62 links on the program's direct series (p >= 0.01 never takes its
+    # Euler-Maclaurin branch), where n log(1 - q^t) needs log1p at tiny q^t.
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(n=st.integers(2, 2**62), p=st.floats(0.01, 0.999))
+    @example(n=2**62, p=0.01)
+    @example(n=2**62, p=0.999)
+    @example(n=101, p=0.5)
+    @example(n=10**6, p=0.1)
+    @example(n=10**12, p=0.9)
+    def test_large_n_against_direct_series(self, n, p):
+        exact = _mp_direct_series(n, p)
+        got = _expected_max_attempts(n, p)
+        assert abs((got - exact) / exact) <= 1e-13
+
+
+def _mp_direct_series(n: int, p: float):
+    """E[max of n geometric waits] = sum_{t>=0} 1 - (1 - q^t)^n at 40 digits.
+
+    The leading terms with n q^t >= 40 are each within e^-40 of 1 and are
+    counted as 1.  The next ones are summed as -expm1(n log1p(-q^t)) until
+    n q^t < 1; from there, t >= T, the rest of the series is expanded
+    binomially, sum_k (-1)^(k+1) C(n, k) q^(kT) / (1 - q^k), whose terms
+    fall like (n q^T)^k / k!.
+    """
+    with mpmath.workdps(40):
+        n, q = mpmath.mpf(n), 1 - mpmath.mpf(p)
+        ones = max(0, int(mpmath.floor(mpmath.log(n / 40) / -mpmath.log(q))) + 1)
+        total, x = mpmath.mpf(ones), q**ones
+        while n * x >= 1:
+            total += -mpmath.expm1(n * mpmath.log1p(-x)) if x < 1 else 1
+            x *= q
+        k, power = 1, n * x  # power = C(n, k) x^k
+        while abs(power) > 1e-35 * total:
+            total += power / (1 - q**k)
+            power *= -(n - k) * x / (k + 1)
+            k += 1
+        return total
+
 
 def _mp_rotation(setting: MeasurementSetting, extra_phase=0):
     """U(theta, phi + extra_phase) at 50 digits, from the same definition as ``rotation_matrix``."""
