@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _MAX_GRID
 from .settings import BellAngles, bell_signal
@@ -28,8 +28,7 @@ _BLOCK_NOISE = 2.0**-50
 Quad = tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(NamedTuple):
     """Extremes of the signed Bell signal at a fidelity; witnesses are real kets, atom first."""
 
     bell_min: float
@@ -42,13 +41,8 @@ class ExtremalResult:
     converged: bool
     out_of_regime: bool = False
 
-    def __post_init__(self) -> None:
-        if self.bell_min > self.bell_max + 1e-9:
-            raise ValueError("extremal minimum exceeds maximum")
 
-
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Best Bell signal found on an ideal-pair angle grid."""
 
     bell_value: float
@@ -134,6 +128,8 @@ def extremal_bell_numeric(f: float, angles: BellAngles) -> ExtremalResult:
     blocks = [x11 - x12 + x21 + x22 for x11, x12, x21, x22 in zip(*pairs)]
     max_value, max_v, max_gap = _max_expectation(*blocks, f)
     neg_min_value, min_v, min_gap = _max_expectation(*(-b for b in blocks), f)
+    if -neg_min_value > max_value + 1e-9:
+        raise ValueError("extremal minimum exceeds maximum")
     gap = max(max_gap, min_gap)
     return ExtremalResult(
         bell_min=-neg_min_value,

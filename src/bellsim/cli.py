@@ -15,13 +15,13 @@ pi/4).  Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 
 Each command imports only the layers it runs, numpy included, in its
 ``cmd_<command>`` body: ``bounds``, ``loopholes``, ``--help``, ``--version``
-and configuration errors load no numpy.
+and configuration errors load neither numpy nor ``dataclasses``.  Only CSV
+output imports ``csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -102,7 +102,8 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "fidelity": _Key(float, None, _UNIT, "--fidelity"),
         "angles_pi": _Key(
             list, [0.0, 0.5, 0.25, 0.75], _FINITE, "--angles",
-            "four analysis angles in units of pi, e.g. 0,0.5,0.25,0.75",
+            "four analysis angles in units of pi, e.g. 0,0.5,0.25,0.75; "
+            "write a negative first angle as --angles=-0.25,0.25,0,0.5",
         ),
     },
     "lhv": {
@@ -235,6 +236,8 @@ def _csv_header(report: dict[str, Any]) -> list[str]:
 
 
 def _render_csv(report: dict[str, Any], columns: list[str], rows: list[list[Any]]) -> str:
+    import csv
+
     buffer = io.StringIO()
     for line in _csv_header(report):
         buffer.write(line + "\n")

@@ -3,24 +3,29 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
+# A NamedTuple class may not define __new__, so MeasurementSetting canonicalizes in a subclass.
+class _Angles(NamedTuple):
+    theta: float
+    phi: float
+
+
+class MeasurementSetting(_Angles):
     """A qubit rotation / analysis basis: polar angle theta, azimuth phi.
 
-    Angles are canonicalized on construction to theta in [0, pi] and
+    The constructor canonicalizes the angles to theta in [0, pi] and
     phi in [0, 2*pi); the represented measurement axis is unchanged.
+    Only the constructor does: ``_replace`` and ``_make`` skip it.
     """
 
-    theta: float
-    phi: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        theta, phi = float(self.theta), float(self.phi)
+    def __new__(cls, theta: float, phi: float = 0.0) -> MeasurementSetting:
+        theta, phi = float(theta), float(phi)
         if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ValueError("measurement angles must be finite")
         theta = theta % TWO_PI
@@ -31,12 +36,10 @@ class MeasurementSetting:
         phi = phi % TWO_PI
         if phi >= TWO_PI:  # tiny negatives round the modulo up to 2*pi itself
             phi = 0.0
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        return super().__new__(cls, theta, phi)
 
 
-@dataclass(frozen=True)
-class BellAngles:
+class BellAngles(NamedTuple):
     """The four analysis settings (a1, a2; b1, b2) of a CHSH measurement."""
 
     a1: MeasurementSetting
@@ -45,23 +48,13 @@ class BellAngles:
     b2: MeasurementSetting
 
     @classmethod
-    def canonical(cls) -> "BellAngles":
+    def canonical(cls) -> BellAngles:
         """The maximally violating settings (0, pi/2; pi/4, 3*pi/4)."""
-        return cls(
-            a1=MeasurementSetting(0.0),
-            a2=MeasurementSetting(math.pi / 2),
-            b1=MeasurementSetting(math.pi / 4),
-            b2=MeasurementSetting(3 * math.pi / 4),
-        )
+        return cls.from_thetas(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 
     @classmethod
-    def from_thetas(cls, a1: float, a2: float, b1: float, b2: float) -> "BellAngles":
-        return cls(
-            a1=MeasurementSetting(a1),
-            a2=MeasurementSetting(a2),
-            b1=MeasurementSetting(b1),
-            b2=MeasurementSetting(b2),
-        )
+    def from_thetas(cls, a1: float, a2: float, b1: float, b2: float) -> BellAngles:
+        return cls(*(MeasurementSetting(theta) for theta in (a1, a2, b1, b2)))
 
 
 CORRELATION_RANGE_TOL = 1e-9

@@ -139,7 +139,7 @@ _SETTINGS = st.builds(
     st.sampled_from((0.0, math.pi)),
 )
 # The custom angles (1.5, 0.4, -0.15, 0.9)*pi: a1 and b1 canonicalise to azimuth pi.
-_AZIMUTH_PI = vars(BellAngles.from_thetas(*(a * math.pi for a in (1.5, 0.4, -0.15, 0.9))))
+_AZIMUTH_PI = BellAngles.from_thetas(*(a * math.pi for a in (1.5, 0.4, -0.15, 0.9)))._asdict()
 _Z = MeasurementSetting(0.0, 0.0)
 
 

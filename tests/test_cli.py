@@ -139,6 +139,21 @@ class TestBoundsCommand:
             window = (results[section]["bell_min"], results[section]["bell_max"])
             assert window == pytest.approx(oracle, abs=1e-12)
 
+    def test_negative_first_angle_needs_the_equals_form(self, capsys):
+        """argparse reads a separate ``-0.25,...`` as a flag; ``--angles=`` keeps it a value."""
+        angles_pi = "-0.25,0.25,0,0.5"
+        code, _, err = run_cli(capsys, "bounds", "--fidelity", "0.87", "--angles", angles_pi)
+        assert code == 2
+        assert "expected one argument" in err
+        code, out, _ = run_cli(capsys, "bounds", "--fidelity", "0.87", f"--angles={angles_pi}")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["numeric"]["converged"] is True
+        window = (results["numeric"]["bell_min"], results["numeric"]["bell_max"])
+        assert all(math.isfinite(v) for v in window)
+        angles = BellAngles.from_thetas(*(a * math.pi for a in (-0.25, 0.25, 0.0, 0.5)))
+        assert window == pytest.approx(bisection_window(0.87, chsh_operator(angles)), abs=1e-12)
+
     def test_unit_fidelity(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--fidelity", "1.0")
         assert code == 0
@@ -559,22 +574,25 @@ class TestColdStart:
         assert result.stderr.strip() == str(sorted(_CORE_MODULES + layers))
 
     def test_bounds_loads_no_numpy(self):
-        """The Bell window is plain float arithmetic on two 2x2 blocks."""
+        """The Bell window is plain float arithmetic on two 2x2 blocks, its types
+        are NamedTuples, and a JSON report needs no ``csv``."""
         probe = (
             "import sys, bellsim.cli; "
             "assert bellsim.cli.main(['bounds', '--fidelity', '0.87']) == 0; "
-            "assert 'numpy' not in sys.modules"
+            "loaded = {'numpy', 'dataclasses', 'inspect', 'ast', 'dis', 'csv'} & set(sys.modules); "
+            "assert not loaded, sorted(loaded)"
         )
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
     def test_runs_that_compute_nothing_load_no_numpy(self):
         """The import, loopholes, --version, --help and a config error run
-        without numpy; each step is checked in the same cold process."""
+        without numpy or dataclasses; each step is checked in the same cold process."""
         probe = (
             "import sys, bellsim.cli\n"
             "def check(step):\n"
             "    assert 'numpy' not in sys.modules, step\n"
+            "    assert 'dataclasses' not in sys.modules, step\n"
             "check('import')\n"
             "for argv, code in [(['loopholes'], 0), (['--version'], 0), (['--help'], 0),\n"
             "                   (['chsh', '--werner-p', '2'], 2)]:\n"

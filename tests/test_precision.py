@@ -87,9 +87,9 @@ _SETTINGS = st.builds(
     st.floats(-3.0 * math.pi, 3.0 * math.pi),
     st.sampled_from((0.0, math.pi)),
 )
-_CANONICAL = vars(BellAngles.canonical())
-_CUSTOM = vars(BellAngles.from_thetas(*(a * math.pi for a in (0.1, 0.4, 0.15, 0.9))))
-_AZIMUTH_PI = vars(BellAngles.from_thetas(*(a * math.pi for a in (1.5, 0.4, -0.15, 0.9))))
+_CANONICAL = BellAngles.canonical()._asdict()
+_CUSTOM = BellAngles.from_thetas(*(a * math.pi for a in (0.1, 0.4, 0.15, 0.9)))._asdict()
+_AZIMUTH_PI = BellAngles.from_thetas(*(a * math.pi for a in (1.5, 0.4, -0.15, 0.9)))._asdict()
 
 
 class TestBellWindow:

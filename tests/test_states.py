@@ -149,6 +149,17 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             MeasurementSetting(math.nan)
 
+    def test_setting_is_an_immutable_value(self):
+        """Immutable, hashed, printed and rebuilt from its fields; only the
+        constructor canonicalizes, ``_replace`` keeps what it is given."""
+        setting = MeasurementSetting(-0.3)
+        with pytest.raises(AttributeError):
+            setting.theta = 1.0
+        assert hash(setting) == hash((setting.theta, setting.phi))
+        assert repr(setting) == f"MeasurementSetting(theta={setting.theta!r}, phi={math.pi!r})"
+        assert MeasurementSetting(*setting) == setting
+        assert setting._replace(theta=-0.3).theta == -0.3
+
 
 class TestRotation:
     def test_identity_rotation_is_exact(self, rng):
