@@ -1,13 +1,14 @@
-"""Golden report digests: each CLI command's bytes are pinned across changes.
+"""Golden reports: each CLI command's full text is pinned across changes.
 
-Every case runs ``bellsim.cli.main`` in-process and hashes its exit code,
-stdout and stderr.  ``golden_reports.json`` holds, per case, the SHA-256
-of that text and a 4-hex-digit fingerprint of each of its lines, so a
-mismatch names the first line that differs, not just a hash.
+Every case runs ``bellsim.cli.main`` in-process and records its exit
+code, stdout and stderr as one text.  ``tests/golden/`` holds that text
+per case, one ``<case>.txt`` file each, so a change that moves a report
+shows every moved digit in its diff, and a failing case prints a unified
+diff of the golden text against the new one.
 
-A change that alters a report on purpose regenerates the file with
+A change that alters a report on purpose regenerates the files with
 
-    PYTHONPATH=src python tests/test_golden_reports.py > tests/golden_reports.json
+    PYTHONPATH=src python tests/test_golden_reports.py
 
 and names the changed reports and the cause in its change notes.
 """
@@ -15,12 +16,11 @@ and names the changed reports and the cause in its change notes.
 from __future__ import annotations
 
 import contextlib
-import hashlib
+import difflib
 import io
-import json
 import os
+import re
 import shlex
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -28,7 +28,7 @@ import pytest
 
 from bellsim.cli import main
 
-GOLDEN = Path(__file__).with_name("golden_reports.json")
+GOLDEN = Path(__file__).with_name("golden")
 
 COMMANDS = (
     "chsh",
@@ -60,6 +60,11 @@ COMMANDS = (
 CASES = tuple(f"{command} --format {fmt}" for command in COMMANDS for fmt in ("json", "csv"))
 
 
+def golden_path(case: str) -> Path:
+    """The case's file: each run of characters other than letters, digits and ``.,-`` becomes ``_``."""
+    return GOLDEN / (re.sub(r"[^A-Za-z0-9.,-]+", "_", case) + ".txt")
+
+
 def run_case(case: str) -> str:
     """Exit code, stdout and stderr of one in-process CLI run, as one text."""
     out, err = io.StringIO(), io.StringIO()
@@ -71,39 +76,29 @@ def run_case(case: str) -> str:
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
-def fingerprint(text: str) -> dict[str, str]:
-    lines = text.splitlines()
-    return {
-        "sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "lines": "".join(hashlib.sha256(line.encode()).hexdigest()[:4] for line in lines),
-    }
-
-
-@pytest.fixture(scope="module")
-def golden() -> dict[str, dict[str, str]]:
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
-
-
-def test_golden_file_covers_exactly_the_cases(golden):
-    assert sorted(golden) == sorted(CASES)
+def test_golden_file_covers_exactly_the_cases():
+    paths = [golden_path(case) for case in CASES]
+    assert len(set(paths)) == len(CASES), "two cases share one golden file"
+    assert sorted(GOLDEN.glob("*.txt")) == sorted(paths)
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_report_bytes_match_golden(case, golden):
-    text = run_case(case)
-    got, want = fingerprint(text), golden[case]
-    if got["sha256"] == want["sha256"]:
-        return
-    lines = text.splitlines()
-    for number, line in enumerate(lines):
-        if got["lines"][4 * number : 4 * number + 4] != want["lines"][4 * number : 4 * number + 4]:
-            pytest.fail(f"bellsim {case}: first differing line {number + 1}: {line!r}")
-    pytest.fail(
-        f"bellsim {case}: output has {len(lines)} lines, the golden one "
-        f"{len(want['lines']) // 4}; no line differs before the shorter one ends"
-    )
+def test_report_bytes_match_golden(case):
+    path = golden_path(case)
+    want, got = path.read_bytes().decode(), run_case(case)
+    if got != want:
+        diff = difflib.unified_diff(
+            want.splitlines(keepends=True),
+            got.splitlines(keepends=True),
+            f"{path.name} (golden)",
+            f"bellsim {case}",
+        )
+        pytest.fail("".join(diff), pytrace=False)
 
 
 if __name__ == "__main__":
-    json.dump({case: fingerprint(run_case(case)) for case in CASES}, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in set(GOLDEN.glob("*.txt")) - {golden_path(case) for case in CASES}:
+        stale.unlink()
+    for case in CASES:
+        golden_path(case).write_bytes(run_case(case).encode())
