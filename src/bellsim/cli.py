@@ -470,40 +470,29 @@ def cmd_swap(config: dict[str, Any]) -> dict[str, Any]:
     import numpy as np
 
     from .loopholes import photon_survival
-    from .network import PSI_MINUS, PSI_PLUS, _analyzer_probabilities, adapted_bell_angles
-    from .network import chain_latency, heralded_ion_state, swap_conditional_states
-    from .states import chsh_operator, fidelity, werner
+    from .network import PSI_MINUS, PSI_PLUS, SWAP_OUTCOME_PROBABILITIES, chain_latency
+    from .network import swapped_werner_pair
 
-    pair_a, pair_b = werner(config["werner_p_a"]), werner(config["werner_p_b"])
-    conditionals = swap_conditional_states(pair_a, pair_b)
-    probabilities = _analyzer_probabilities(conditionals)
-    rng = np.random.default_rng(config["seed"])
-    draws = rng.multinomial(config["trials"], list(probabilities.values()))
-    counts = {outcome: int(n) for outcome, n in zip(probabilities, draws)}
-    heralded = {}
-    for outcome in (PSI_PLUS, PSI_MINUS):
-        probability, state = conditionals[outcome]
-        entry: dict[str, Any] = {"probability": probability}
-        if state is not None:
-            target = heralded_ion_state(outcome)
-            operator = chsh_operator(adapted_bell_angles(outcome))
-            entry["fidelity_to_heralded"] = fidelity(state, target)
-            entry["bell_value"] = float(np.real(np.trace(state.matrix @ operator)))
-        heralded[outcome] = entry
+    trials, nodes, law = config["trials"], config["nodes"], SWAP_OUTCOME_PROBABILITIES
+    draws = np.random.default_rng(config["seed"]).multinomial(trials, list(law.values()))
+    counts = {outcome: int(n) for outcome, n in zip(law, draws)}
+    fidelity, bell_value = swapped_werner_pair(config["werner_p_a"], config["werner_p_b"])
+    pair = {"fidelity_to_heralded": fidelity, "bell_value": bell_value}
+    heralded = {outcome: {"probability": law[outcome], **pair} for outcome in (PSI_PLUS, PSI_MINUS)}
+    success_rate = (counts[PSI_PLUS] + counts[PSI_MINUS]) / trials
+    success_model = law[PSI_PLUS] + law[PSI_MINUS]
+    success_sigma = math.sqrt(success_model * (1.0 - success_model) / trials)
     survival = photon_survival(config["fiber_length"], config["attenuation"], config["coupling"])
-    latency = chain_latency(
-        config["nodes"], survival, config["attempt_rate"], config["link_success"]
-    )
+    latency = chain_latency(nodes, survival, config["attempt_rate"], config["link_success"])
     return {
-        "trials": config["trials"],
+        "trials": trials,
         "outcome_counts": counts,
-        "success_rate": (counts[PSI_PLUS] + counts[PSI_MINUS]) / config["trials"],
+        "success_rate": success_rate,
+        "success_model": success_model,
+        "success_sigma": success_sigma,
+        "success_z": (success_rate - success_model) / success_sigma,
         "heralded": heralded,
-        "chain": {
-            "nodes": config["nodes"],
-            "links": config["nodes"] - 1,
-            "expected_latency_s": latency,
-        },
+        "chain": {"nodes": nodes, "links": nodes - 1, "expected_latency_s": latency},
     }
 
 

@@ -13,6 +13,11 @@ It also holds two oracles of the Bell window that ``bellsim.bounds``
 solves in closed form: the canonical-angle formula
 [2*sqrt(2)*(2F - 1), 2*sqrt(2)*F] and a bisection on the scaled
 multiplier of the stationarity equation, which holds at any azimuth.
+
+And it holds the swap oracle that ``bellsim.network``'s Werner closed
+form is checked against: the projector sandwich of a partial Bell-state
+analysis on two explicit pairs, with the kets it heralds and the
+analysis angles adapted to each.
 """
 
 from __future__ import annotations
@@ -22,7 +27,16 @@ import math
 import numpy as np
 import pytest
 
-from bellsim.states import DensityMatrix, MeasurementSetting, TwoQubitState, rotation_matrix
+from bellsim.network import PSI_MINUS, PSI_PLUS
+from bellsim.states import (
+    BellAngles,
+    DensityMatrix,
+    MeasurementSetting,
+    TwoQubitState,
+    chsh_operator,
+    rotation_matrix,
+    werner,
+)
 
 ATOM = "S"
 PHOTON = "P"
@@ -139,6 +153,79 @@ def bisection_window(f: float, w: np.ndarray) -> tuple[float, float]:
     """Signed Bell window (min, max) of the operator w at overlap f with the ideal pair."""
     target = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
     return -bisection_max_expectation(-w, target, f)[0], bisection_max_expectation(w, target, f)[0]
+
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# The two odd-parity Bell kets the swap analyzer heralds, in the computational
+# basis (first qubit, second qubit).
+HERALDED_KETS = {
+    PSI_PLUS: np.array([0.0, _INV_SQRT2, _INV_SQRT2, 0.0], dtype=complex),
+    PSI_MINUS: np.array([0.0, _INV_SQRT2, -_INV_SQRT2, 0.0], dtype=complex),
+}
+# Analysis angles at which the signed CHSH value (the expectation of
+# ``chsh_operator``) of each heralded ket reaches 2*sqrt(2), not just its
+# absolute-value form.
+ADAPTED_ANGLES = {
+    PSI_PLUS: BellAngles(
+        MeasurementSetting(0.0),
+        MeasurementSetting(math.pi / 2),
+        MeasurementSetting(3 * math.pi / 4),
+        MeasurementSetting(math.pi / 4),
+    ),
+    PSI_MINUS: BellAngles(
+        MeasurementSetting(0.0),
+        MeasurementSetting(math.pi / 2),
+        MeasurementSetting(3 * math.pi / 4, math.pi),
+        MeasurementSetting(math.pi / 4, math.pi),
+    ),
+}
+
+
+def oracle_swap(
+    pair_a: np.ndarray, pair_b: np.ndarray, outcome_ket: np.ndarray
+) -> tuple[float, np.ndarray | None]:
+    """Heralding probability and ion-ion state of one analyzer outcome, by 16-dim projectors.
+
+    The joint state is ordered (ion_a, photon_a, ion_b, photon_b), and the
+    outcome projects the photons (positions 1 and 3) onto ``outcome_ket``.
+    """
+    joint = np.kron(pair_a, pair_b)
+    identity = np.eye(2, dtype=complex)
+    projector4 = np.outer(outcome_ket, outcome_ket.conj())  # on (p_a, p_b)
+    # build the 16x16 operator by summing basis transitions
+    op = np.zeros((16, 16), dtype=complex)
+    for pa in range(2):
+        for pb in range(2):
+            for qa in range(2):
+                for qb in range(2):
+                    weight = projector4[2 * pa + pb, 2 * qa + qb]
+                    if weight == 0:
+                        continue
+                    ket_pa = identity[:, pa]
+                    ket_pb = identity[:, pb]
+                    bra_qa = identity[:, qa]
+                    bra_qb = identity[:, qb]
+                    transition = np.kron(
+                        np.kron(identity, np.outer(ket_pa, bra_qa.conj())),
+                        np.kron(identity, np.outer(ket_pb, bra_qb.conj())),
+                    )
+                    op += weight * transition
+    projected = op @ joint @ op.conj().T
+    probability = float(np.real(np.trace(projected)))
+    # trace out the photons (axes 1 and 3)
+    tensor = projected.reshape(2, 2, 2, 2, 2, 2, 2, 2)
+    reduced = np.einsum("apbqcpdq->abcd", tensor).reshape(4, 4)
+    return probability, reduced / probability if probability > 0 else None
+
+
+def oracle_swapped_werner(p_a: float, p_b: float, outcome: str) -> tuple[float, float, float]:
+    """Heralding probability, fidelity to the heralded ket and signed CHSH value at the
+    adapted angles of one outcome, by ``oracle_swap`` on two Werner pairs."""
+    ket = HERALDED_KETS[outcome]
+    probability, state = oracle_swap(werner(p_a).matrix, werner(p_b).matrix, ket)
+    fidelity = float(np.real(np.vdot(ket, state @ ket)))
+    bell = float(np.real(np.trace(state @ chsh_operator(ADAPTED_ANGLES[outcome]))))
+    return probability, fidelity, bell
 
 
 def density(state: TwoQubitState) -> DensityMatrix:

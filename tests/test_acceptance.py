@@ -10,7 +10,7 @@ import sys
 import time
 
 import numpy as np
-from conftest import canonical_window
+from conftest import canonical_window, oracle_swapped_werner
 
 from bellsim.bounds import (
     enumerate_strategies,
@@ -19,14 +19,7 @@ from bellsim.bounds import (
 )
 from bellsim.harness import reference_bell_results, run_experiment
 from bellsim.loopholes import light_cone_separation
-from bellsim.network import (
-    PSI_MINUS,
-    PSI_PLUS,
-    adapted_bell_angles,
-    heralded_ion_state,
-    swap_conditional_states,
-    _analyzer_probabilities,
-)
+from bellsim.network import PSI_MINUS, PSI_PLUS, SWAP_OUTCOME_PROBABILITIES, swapped_werner_pair
 from bellsim.protocol import (
     SINGLE_PULSE,
     TWO_PULSE,
@@ -41,9 +34,7 @@ from bellsim.states import (
     BellAngles,
     MeasurementSetting,
     bell_signal,
-    chsh_operator,
     correlation,
-    fidelity,
     werner,
 )
 
@@ -229,28 +220,29 @@ def test_criterion_10_loophole_arithmetic():
 
 
 def test_criterion_11_swap_correctness():
-    pair = werner(1.0)
-    conditionals = swap_conditional_states(pair, pair)
-    probabilities = _analyzer_probabilities(conditionals)
     rng = np.random.default_rng(21)
     n = 100_000
-    counts = rng.multinomial(
-        n, [probabilities[PSI_PLUS], probabilities[PSI_MINUS],
-            1.0 - probabilities[PSI_PLUS] - probabilities[PSI_MINUS]]
-    )
+    counts = rng.multinomial(n, list(SWAP_OUTCOME_PROBABILITIES.values()))
     success_rate = (counts[0] + counts[1]) / n
     rate_ok = abs(success_rate - 0.5) <= 0.005
-    state_ok = True
-    for outcome in (PSI_PLUS, PSI_MINUS):
-        _, state = conditionals[outcome]
-        state_ok = state_ok and fidelity(state, heralded_ion_state(outcome)) >= 0.999
-        value = float(np.real(np.trace(state.matrix @ chsh_operator(adapted_bell_angles(outcome)))))
-        state_ok = state_ok and abs(value - TSIRELSON) <= 1e-9
+    heralded_fidelity, value = swapped_werner_pair(1.0, 1.0)
+    state_ok = heralded_fidelity >= 0.999 and abs(value - TSIRELSON) <= 1e-9
+    # The closed form against the projector oracle, ideal and Werner inputs.
+    oracle_ok = True
+    for p_a, p_b in ((1.0, 1.0), (0.82667, 0.9), (0.5, 0.0), (0.3, 0.7)):
+        f_closed, b_closed = swapped_werner_pair(p_a, p_b)
+        for outcome in (PSI_PLUS, PSI_MINUS):
+            p_oracle, f_oracle, b_oracle = oracle_swapped_werner(p_a, p_b, outcome)
+            oracle_ok = oracle_ok and (
+                abs(SWAP_OUTCOME_PROBABILITIES[outcome] - p_oracle) <= 1e-12
+                and abs(f_closed - f_oracle) <= 1e-12
+                and abs(b_closed - b_oracle) <= 1e-12
+            )
     _report(
         11,
         f"swap success {success_rate:.4f} (0.5 +/- 0.005); heralded fidelity >= 0.999 with "
-        "analytic B = 2*sqrt(2)",
-        rate_ok and state_ok,
+        "analytic B = 2*sqrt(2); closed form matches the projector oracle at 4 Werner pairs",
+        rate_ok and state_ok and oracle_ok,
     )
 
 

@@ -55,6 +55,8 @@ COMMANDS = (
     "swap --nodes 60",
     "swap --nodes 3 --trials 100",
     "swap --trials 1000 --werner-p-a 0.82667 --werner-p-b 0.9",
+    "swap --link-success 0.01 --nodes 3",
+    "swap --link-success 0.01 --nodes 10",
     "swap --nodes 1",
 )
 CASES = tuple(f"{command} --format {fmt}" for command in COMMANDS for fmt in ("json", "csv"))

@@ -1,10 +1,11 @@
-"""Tests of loophole arithmetic, the swap projection, and latency."""
+"""Tests of loophole arithmetic, the swap closed form, and latency."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from conftest import ADAPTED_ANGLES, HERALDED_KETS, oracle_swap, oracle_swapped_werner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,19 +20,11 @@ from bellsim.network import (
     BSA_FAIL,
     PSI_MINUS,
     PSI_PLUS,
-    BELL_KETS,
-    adapted_bell_angles,
+    SWAP_OUTCOME_PROBABILITIES,
     chain_latency,
-    heralded_ion_state,
-    swap_conditional_states,
-    _analyzer_probabilities,
+    swapped_werner_pair,
 )
-from bellsim.states import (
-    DensityMatrix,
-    chsh_operator,
-    fidelity,
-    werner,
-)
+from bellsim.states import chsh_operator, werner
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -126,126 +119,84 @@ class TestPhotonSurvival:
         assert joined == pytest.approx(split, rel=1e-12, abs=1e-300)
 
 
-def _oracle_swap(pair_a: np.ndarray, pair_b: np.ndarray, outcome_ket: np.ndarray):
-    """Independent 16-dim projector oracle for the swap conditional state."""
-    joint = np.kron(pair_a, pair_b)
-    # projector onto |ket> of qubits (photon_a, photon_b) = positions 1 and 3
-    identity = np.eye(2, dtype=complex)
-    projector4 = np.outer(outcome_ket, outcome_ket.conj())  # on (p_a, p_b)
-    # build the 16x16 operator by summing basis transitions
-    op = np.zeros((16, 16), dtype=complex)
-    for pa in range(2):
-        for pb in range(2):
-            for qa in range(2):
-                for qb in range(2):
-                    weight = projector4[2 * pa + pb, 2 * qa + qb]
-                    if weight == 0:
-                        continue
-                    ket_pa = identity[:, pa]
-                    ket_pb = identity[:, pb]
-                    bra_qa = identity[:, qa]
-                    bra_qb = identity[:, qb]
-                    transition = np.kron(
-                        np.kron(identity, np.outer(ket_pa, bra_qa.conj())),
-                        np.kron(identity, np.outer(ket_pb, bra_qb.conj())),
-                    )
-                    op += weight * transition
-    projected = op @ joint @ op.conj().T
-    probability = float(np.real(np.trace(projected)))
-    # trace out the photons (axes 1 and 3)
-    tensor = projected.reshape(2, 2, 2, 2, 2, 2, 2, 2)
-    reduced = np.einsum("apbqcpdq->abcd", tensor).reshape(4, 4)
-    return probability, reduced / probability if probability > 0 else None
-
-
 class TestEntanglementSwap:
     def test_ideal_pairs_herald_their_bell_state(self):
-        pair = werner(1.0).matrix
-        conditionals = swap_conditional_states(werner(1.0), werner(1.0))
+        fidelity, _ = swapped_werner_pair(1.0, 1.0)
+        assert fidelity == 1.0
         for outcome in (PSI_PLUS, PSI_MINUS):
-            probability, state = conditionals[outcome]
-            assert probability == pytest.approx(0.25, abs=1e-12)
-            assert fidelity(state, heralded_ion_state(outcome)) == pytest.approx(1.0, abs=1e-12)
-            # independent projector oracle
-            oracle_p, oracle_state = _oracle_swap(pair, pair, BELL_KETS[outcome])
-            assert probability == pytest.approx(oracle_p, abs=1e-12)
-            np.testing.assert_allclose(state.matrix, oracle_state, atol=1e-12)
+            assert SWAP_OUTCOME_PROBABILITIES[outcome] == 0.25
+            oracle_p, oracle_fidelity, _ = oracle_swapped_werner(1.0, 1.0, outcome)
+            assert oracle_p == pytest.approx(0.25, abs=1e-12)
+            assert oracle_fidelity == pytest.approx(fidelity, abs=1e-12)
 
     def test_heralded_output_is_pure_and_maximally_entangled(self):
-        conditionals = swap_conditional_states(werner(1.0), werner(1.0))
+        assert swapped_werner_pair(1.0, 1.0)[0] == 1.0  # the heralded ket itself
+        pair = werner(1.0).matrix
         for outcome in (PSI_PLUS, PSI_MINUS):
-            _, state = conditionals[outcome]
-            eigenvalues = np.linalg.eigvalsh(state.matrix)
+            _, state = oracle_swap(pair, pair, HERALDED_KETS[outcome])
+            eigenvalues = np.linalg.eigvalsh(state)
             assert eigenvalues.max() == pytest.approx(1.0, abs=1e-10)
             # reduced single-ion entropy ln 2
-            tensor = state.matrix.reshape(2, 2, 2, 2)
-            for axis_pair in (("abcb", (0,)), ("abad", (1,))):
-                pattern, _ = axis_pair
-                reduced = np.einsum(f"{pattern}->" + ("ac" if pattern == "abcb" else "bd"), tensor)
-                probs = np.linalg.eigvalsh(reduced)
+            tensor = state.reshape(2, 2, 2, 2)
+            for pattern in ("abcb->ac", "abad->bd"):
+                probs = np.linalg.eigvalsh(np.einsum(pattern, tensor))
                 probs = probs[probs > 1e-15]
                 entropy = -float(np.sum(probs * np.log(probs)))
                 assert entropy == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_signed_bell_signal_of_heralded_states(self):
-        conditionals = swap_conditional_states(werner(1.0), werner(1.0))
+        _, bell = swapped_werner_pair(1.0, 1.0)
+        assert abs(bell - TSIRELSON) < 1e-9
         for outcome in (PSI_PLUS, PSI_MINUS):
-            _, state = conditionals[outcome]
-            operator = chsh_operator(adapted_bell_angles(outcome))
-            value = float(np.real(np.trace(state.matrix @ operator)))
-            assert abs(value - TSIRELSON) < 1e-9
+            assert oracle_swapped_werner(1.0, 1.0, outcome)[2] == pytest.approx(bell, abs=1e-12)
 
     def test_sampled_success_rate(self):
         rng = np.random.default_rng(29)
-        probabilities = _analyzer_probabilities(
-            swap_conditional_states(werner(1.0), werner(1.0))
-        )
         n = 100_000
-        counts = rng.multinomial(
-            n, [probabilities[PSI_PLUS], probabilities[PSI_MINUS], probabilities[BSA_FAIL]]
-        )
+        counts = rng.multinomial(n, list(SWAP_OUTCOME_PROBABILITIES.values()))
         success = (counts[0] + counts[1]) / n
         assert abs(success - 0.5) < 0.005
 
-    def test_maximally_mixed_input_gives_mixed_output(self, rng):
-        mixed = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
-        conditionals = swap_conditional_states(mixed, werner(1.0))
+    def test_maximally_mixed_input_gives_mixed_output(self):
+        # A Werner pair of weight 0 is I/4.
+        assert swapped_werner_pair(0.0, 1.0) == (0.25, 0.0)
+        mixed = np.eye(4, dtype=complex) / 4.0
         for outcome in (PSI_PLUS, PSI_MINUS):
-            probability, state = conditionals[outcome]
+            probability, state = oracle_swap(mixed, werner(1.0).matrix, HERALDED_KETS[outcome])
             assert probability == pytest.approx(0.25, abs=1e-12)
-            np.testing.assert_allclose(state.matrix, np.eye(4) / 4.0, atol=1e-12)
-            operator = chsh_operator(adapted_bell_angles(outcome))
-            assert abs(np.trace(state.matrix @ operator)) <= 2.0
+            np.testing.assert_allclose(state, np.eye(4) / 4.0, atol=1e-12)
+            operator = chsh_operator(ADAPTED_ANGLES[outcome])
+            assert abs(np.trace(state @ operator)) <= 2.0
 
     def test_werner_inputs_degrade_monotonically(self):
         # data processing: the swapped pair is never better than the inputs
         p = 0.82667
         input_bell = TSIRELSON * p
-        conditionals = swap_conditional_states(werner(p), werner(p))
+        _, bell = swapped_werner_pair(p, p)
+        assert bell <= input_bell + 1e-12
+        assert bell == pytest.approx(TSIRELSON * p * p, abs=1e-15)
         for outcome in (PSI_PLUS, PSI_MINUS):
-            _, state = conditionals[outcome]
-            operator = chsh_operator(adapted_bell_angles(outcome))
-            value = float(np.real(np.trace(state.matrix @ operator)))
-            assert value <= input_bell + 1e-12
-            assert value == pytest.approx(TSIRELSON * p * p, abs=1e-9)
+            assert oracle_swapped_werner(p, p, outcome)[2] == pytest.approx(bell, abs=1e-12)
 
     def test_werner_outcome_probabilities_are_fixed(self):
         # the photon marginals of Werner pairs are I/2, so each odd-parity
         # outcome heralds with exactly 1/4 whatever the mixing
+        assert SWAP_OUTCOME_PROBABILITIES == {PSI_PLUS: 0.25, PSI_MINUS: 0.25, BSA_FAIL: 0.5}
         for p_a in np.linspace(0.0, 1.0, 11):
             for p_b in np.linspace(0.0, 1.0, 11):
-                probabilities = _analyzer_probabilities(
-                    swap_conditional_states(werner(p_a), werner(p_b))
-                )
-                assert probabilities[PSI_PLUS] == pytest.approx(0.25, abs=1e-12)
-                assert probabilities[PSI_MINUS] == pytest.approx(0.25, abs=1e-12)
-                assert probabilities[BSA_FAIL] == pytest.approx(0.5, abs=1e-12)
+                for outcome in (PSI_PLUS, PSI_MINUS):
+                    probability = oracle_swapped_werner(p_a, p_b, outcome)[0]
+                    assert probability == pytest.approx(0.25, abs=1e-12)
 
-    def test_heralded_state_lookup_rejects_fail(self):
-        with pytest.raises(ValueError):
-            heralded_ion_state(BSA_FAIL)
-        with pytest.raises(ValueError):
-            adapted_bell_angles(BSA_FAIL)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p_a=st.floats(0.0, 1.0), p_b=st.floats(0.0, 1.0))
+    def test_closed_form_matches_projector_oracle(self, p_a, p_b):
+        fidelity, bell = swapped_werner_pair(p_a, p_b)
+        for outcome in (PSI_PLUS, PSI_MINUS):
+            oracle_p, oracle_fidelity, oracle_bell = oracle_swapped_werner(p_a, p_b, outcome)
+            assert abs(SWAP_OUTCOME_PROBABILITIES[outcome] - oracle_p) <= 1e-12
+            assert abs(fidelity - oracle_fidelity) <= 1e-12
+            assert abs(bell - oracle_bell) <= 1e-12
 
 
 def harmonic(n):

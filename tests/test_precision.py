@@ -13,12 +13,12 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.bounds import extremal_bell_numeric
 from bellsim.loopholes import detection_efficiency, photon_survival
-from bellsim.network import _expected_max_attempts
+from bellsim.network import _LATENCY_TERMS, _expected_max_attempts
 from bellsim.protocol import (
     SINGLE_PULSE,
     TWO_PULSE,
@@ -155,6 +155,20 @@ class TestExpectedMaxAttempts:
         exact = _mp_direct_series(n, p)
         got = _expected_max_attempts(n, p)
         assert abs((got - exact) / exact) <= 1e-13
+
+    # The whole direct-series branch, down to the p below which the program takes
+    # the Euler-Maclaurin form: about 6.2e-4 at n = 2 and 6.8e-4 at n = 100.
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(2, 100), p=st.floats(-3.25, 0.0).map(lambda e: 10.0**e))
+    @example(n=10, p=0.0008205453035402532)  # where a series that drops its tail is 67 ulps off
+    @example(n=2, p=0.0006207354131280454)  # the first p of the branch
+    @example(n=100, p=0.0006803893131118146)
+    @example(n=59, p=1e-3)
+    def test_series_branch_within_4_ulps(self, n, p):
+        assume(p == 1.0 or -math.log1p(-p) * _LATENCY_TERMS >= math.log(n) + 40.0)
+        exact = _mp_expected_max_attempts(n, p)
+        got = _expected_max_attempts(n, p)
+        assert abs(got - exact) <= 4 * math.ulp(float(exact))
 
 
 def _mp_direct_series(n: int, p: float):
